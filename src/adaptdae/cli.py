@@ -50,6 +50,12 @@ def _suffixed(path: str, policy: str, seed: int) -> str:
     return f"{stem}_{policy}_s{seed}.{ext}"
 
 
+def _report_problems(path: str, problems: list[str]) -> int:
+    for p in problems:
+        print(f"{path}: {p}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.last is not None:
@@ -61,6 +67,9 @@ def _cmd_run(args) -> int:
     for policy in policies:
         for seed in seeds:
             run_cfg = replace(cfg, policy=policy, seed=seed)
+            problems = validate_experiment(run_cfg)
+            if problems:
+                return _report_problems(args.config, problems)
             out = _suffixed(base_out, policy, seed) if multi and base_out else base_out
             result = run_experiment(run_cfg, out_path=out)
             where = f" -> {result.trace_path}" if result.trace_path else ""
@@ -72,9 +81,7 @@ def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
     problems = validate_experiment(cfg)
     if problems:
-        for p in problems:
-            print(f"{args.config}: {p}", file=sys.stderr)
-        return 2
+        return _report_problems(args.config, problems)
     print(f"{args.config}: ok")
     return 0
 
@@ -97,11 +104,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"{getattr(args, 'config', '?')}: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except (ValueError, ArithmeticError) as err:
+        # config problems were reported above; this is the run itself failing,
+        # e.g. a GP factorisation (LinAlgError) or a numerical breakdown
+        print(f"runtime failure: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 
 

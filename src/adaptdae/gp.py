@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
 
 JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
@@ -56,6 +55,9 @@ class GprModel:
 
 
 def _factorise(K: np.ndarray, noise_var: float) -> tuple[np.ndarray, float]:
+    # scipy is imported on first use: runs that never fit a GP skip its cost
+    from scipy.linalg import cholesky
+
     n = K.shape[0]
     base = K + noise_var * np.eye(n)
     last_err = None
@@ -77,6 +79,8 @@ def fit(
     noise_var: float = 0.0,
 ) -> GprModel:
     """Factorise the training covariance and solve for the weight vector."""
+    from scipy.linalg import cho_solve
+
     X = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     y = np.asarray(targets, dtype=np.float64).ravel()
     if X.shape[0] != y.shape[0]:

@@ -20,7 +20,7 @@ import numpy as np
 from .config import ExperimentConfig, validate_experiment
 from .controller import RlController, window_kl
 from .midae import MiDaeState, merge_inc_step
-from .network import DataBatch, Network, batch_errors, finetune, init_network, predict, pretrain_layer
+from .network import DataBatch, Forward, Network, batch_errors, finetune, forward, init_network, predict, pretrain_layer
 from .pools import PoolSet, update_diverse, update_recent
 from .stream import LabeledSource, build_stream, load_idx, synth_dataset
 from .structure import ActionKind, increment_nodes, merge_nodes, pool_finetune
@@ -41,6 +41,10 @@ CSV_COLUMNS = (
     "kl",
     "wall_ms",
 )
+
+
+class NumericalBreakdown(ArithmeticError):
+    """The network's outputs stopped being finite during a run."""
 
 
 @dataclass
@@ -80,6 +84,18 @@ class RunResult:
 def eval_local(net: Network, next_batch: DataBatch) -> float:
     """Classification error on the upcoming batch, before training on it."""
     return batch_errors(net, next_batch)[1]
+
+
+def _evaluate_upcoming(net: Network, batch: DataBatch, index: int) -> tuple[Forward, tuple[float, float]]:
+    """Forward batch ``index`` before anything trains on it and measure its
+    losses; the forward serves its training while the parameters stay."""
+    fwd = forward(net, batch.inputs)
+    l_gen, l_cls = batch_errors(net, batch, fwd)
+    if not (math.isfinite(l_gen) and math.isfinite(l_cls)):
+        raise NumericalBreakdown(
+            f"batch {index}: pre-training evaluation is not finite (l_gen={l_gen!r}, l_cls={l_cls!r})"
+        )
+    return fwd, (l_gen, l_cls)
 
 
 def eval_global(net: Network, test_inputs: np.ndarray, test_labels: np.ndarray) -> float:
@@ -181,11 +197,13 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
     records: list[TraceRecord] = []
     histograms: list[np.ndarray] = []
     trained_ids: set[int] = set()
-    next_eval = batch_errors(net, batches[0])
+    fwd, next_eval = _evaluate_upcoming(net, batches[0], 0)
 
     for n, batch in enumerate(batches):
         t0 = time.perf_counter()
-        l_gen, l_cls = next_eval  # measured before anything trained on this batch
+        # measured before anything trained on this batch; fwd is its forward
+        # under the current parameters until a structural edit drops it
+        l_gen, l_cls = next_eval
         assert batch.seq_id not in trained_ids, "evaluation must precede training"
         histogram = batch.class_histogram()
         histograms.append(histogram)
@@ -209,6 +227,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
                 diverse = list(pools.diverse)
                 trained_ids.update(b.seq_id for b in diverse)
                 pool_finetune(net, diverse, cfg.nn.hybrid_weight)
+                fwd = None
             elif decision.kind is ActionKind.INCREMENT and decision.delta_inc > 0:
                 # keep the width ratio inside the configured corridor
                 ceiling = int(math.floor(cfg.rl.size_high * cfg.nn.widths[0]))
@@ -218,28 +237,31 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
                     trained_ids.update(b.seq_id for b in recent)
                     increment_nodes(net, applied, recent, train_rng)
                     delta = applied
+                    fwd = None
             elif decision.kind is ActionKind.MERGE and decision.delta_mrg > 0:
                 floor = int(math.ceil(cfg.rl.size_low * cfg.nn.widths[0]))
                 applied = min(decision.delta_mrg, width // 2, max(0, width - floor))
                 if applied > 0:
                     merge_nodes(net, applied)
                     delta = -applied
-            finetune(net, batch, cfg.nn.hybrid_weight)
+                    fwd = None
+            finetune(net, batch, cfg.nn.hybrid_weight, fwd)
             trained_ids.add(batch.seq_id)
         elif cfg.policy == "midae":
             before = net.layers[0].n_hidden
-            event = merge_inc_step(net, batch, pools, midae_state, train_rng, cfg.nn.hybrid_weight)
+            event = merge_inc_step(net, batch, pools, midae_state, train_rng, cfg.nn.hybrid_weight, fwd)
             trained_ids.add(batch.seq_id)
             if event is not None:
                 action = "event"
                 delta = net.layers[0].n_hidden - before
         else:  # sdae: fixed structure
-            finetune(net, batch, cfg.nn.hybrid_weight)
+            finetune(net, batch, cfg.nn.hybrid_weight, fwd)
             trained_ids.add(batch.seq_id)
 
+        fwd = None  # stale now that the batch trained; free it before the next
         if n + 1 < len(batches):
             assert batches[n + 1].seq_id not in trained_ids, "evaluation must precede training"
-            next_eval = batch_errors(net, batches[n + 1])
+            fwd, next_eval = _evaluate_upcoming(net, batches[n + 1], n + 1)
             e_lcl = next_eval[1]
         else:
             e_lcl = None

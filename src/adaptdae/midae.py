@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import DataBatch, Network, finetune, mean_discriminative_loss, per_example_reconstruction_loss
+from .network import (
+    DataBatch,
+    Forward,
+    Network,
+    finetune,
+    forward,
+    mean_discriminative_loss,
+    per_example_reconstruction_loss,
+)
 from .pools import PoolSet, update_hard
 from .structure import increment_nodes, merge_nodes
 
@@ -79,10 +87,18 @@ def merge_inc_step(
     state: MiDaeState,
     rng: np.random.Generator,
     hybrid_weight: float = 0.2,
+    fwd: Forward | None = None,
 ) -> MiDaeEvent | None:
-    """One streaming step; returns the structural event if one fired."""
-    losses = per_example_reconstruction_loss(net, batch.inputs)
-    objective = mean_discriminative_loss(net, batch)
+    """One streaming step; returns the structural event if one fired.
+
+    ``fwd`` is a forward of the batch under the current parameters, if the
+    caller has one.  The losses and the fine-tune share it, unless an
+    event edits the network in between.
+    """
+    if fwd is None:
+        fwd = forward(net, batch.inputs)
+    losses = per_example_reconstruction_loss(net, batch.inputs, fwd)
+    objective = mean_discriminative_loss(net, batch, fwd)
     state.window_losses.extend(losses)
     update_hard(pools, batch, losses)
 
@@ -99,6 +115,7 @@ def merge_inc_step(
         state.prev_objective = objective
         pools.clear_hard()
         event = MiDaeEvent(added=added, merged=merged)
+        fwd = None
 
-    finetune(net, batch, hybrid_weight)
+    finetune(net, batch, hybrid_weight, fwd)
     return event

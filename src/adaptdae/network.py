@@ -17,13 +17,15 @@ PROB_EPS = 1e-7
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise.
+
+    ``exp`` only ever sees ``-|v|``, so it cannot overflow; for ``v < 0``
+    the result is ``e^v / (1 + e^v)``, else ``1 / (1 + e^-v)``.
+    """
     v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    e = np.exp(-np.abs(v))
+    out = np.where(v >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 
@@ -247,27 +249,64 @@ def _decode_stack(net: Network, top: np.ndarray) -> list[np.ndarray]:
     return recs
 
 
+def _output(net: Network, top: np.ndarray) -> np.ndarray:
+    return softmax(top @ net.out_W.T + net.out_b)
+
+
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
     """Class probabilities for one example or a batch."""
     h = np.asarray(x)
     for layer in net.layers:
         h = encode(layer, h)
-    return softmax(h @ net.out_W.T + net.out_b)
+    return _output(net, h)
 
 
-def per_example_reconstruction_loss(net: Network, X: np.ndarray) -> np.ndarray:
-    """Full-stack reconstruction error of every row of ``X``."""
+@dataclass(frozen=True)
+class Forward:
+    """One pass of a batch through the stack under fixed parameters.
+
+    ``acts[0]`` is the input and ``acts[i + 1]`` the code of layer ``i``;
+    ``recs[i]`` reconstructs ``acts[i]`` down the decoder, so ``recs[0]``
+    is ``x_hat``; ``rec_losses`` is the reconstruction error per example
+    and ``y_hat`` the softmax output.  Built without the decoder,
+    ``recs`` and ``rec_losses`` are None.  It stays valid only while the
+    network's parameters are unchanged.
+    """
+
+    acts: list[np.ndarray]
+    recs: list[np.ndarray] | None
+    rec_losses: np.ndarray | None
+    y_hat: np.ndarray
+
+
+def forward(net: Network, X: np.ndarray, decode: bool = True) -> Forward:
+    """Run ``X`` up the encoder, through the read-out and, unless
+    ``decode`` is false, back down the decoder."""
     acts = _encode_stack(net, X)
-    recs = _decode_stack(net, acts[-1])
-    return cross_entropy(acts[0], recs[0])
+    recs = rec_losses = None
+    if decode:
+        recs = _decode_stack(net, acts[-1])
+        rec_losses = cross_entropy(acts[0], recs[0])
+    return Forward(acts, recs, rec_losses, _output(net, acts[-1]))
 
 
-def mean_discriminative_loss(net: Network, batch: DataBatch) -> float:
-    y_hat = predict(net, batch.inputs)
+def per_example_reconstruction_loss(net: Network, X: np.ndarray, fwd: Forward | None = None) -> np.ndarray:
+    """Full-stack reconstruction error of every row of ``X``.
+
+    Here and below, ``fwd`` is a forward of the same inputs under the
+    current parameters, passed in to save recomputing it.
+    """
+    if fwd is None:
+        fwd = forward(net, X)
+    return fwd.rec_losses
+
+
+def mean_discriminative_loss(net: Network, batch: DataBatch, fwd: Forward | None = None) -> float:
+    y_hat = predict(net, batch.inputs) if fwd is None else fwd.y_hat
     return float(cross_entropy(batch.labels, y_hat).mean())
 
 
-def batch_errors(net: Network, batch: DataBatch) -> tuple[float, float]:
+def batch_errors(net: Network, batch: DataBatch, fwd: Forward | None = None) -> tuple[float, float]:
     """Mean reconstruction loss and misclassification fraction on a batch.
 
     Ties in the predicted class are broken toward the lowest index, so the
@@ -275,11 +314,10 @@ def batch_errors(net: Network, batch: DataBatch) -> tuple[float, float]:
     """
     if batch.size == 0:
         raise ValueError("cannot evaluate an empty batch")
-    acts = _encode_stack(net, batch.inputs)
-    recs = _decode_stack(net, acts[-1])
-    l_gen = float(cross_entropy(acts[0], recs[0]).mean())
-    y_hat = softmax(acts[-1] @ net.out_W.T + net.out_b)
-    hits = np.argmax(y_hat, axis=1) == np.argmax(batch.labels, axis=1)
+    if fwd is None:
+        fwd = forward(net, batch.inputs)
+    l_gen = float(fwd.rec_losses.mean())
+    hits = np.argmax(fwd.y_hat, axis=1) == np.argmax(batch.labels, axis=1)
     return l_gen, float(1.0 - hits.mean())
 
 
@@ -318,10 +356,10 @@ def _encoder_backward(net: Network, acts: list[np.ndarray], d_top: np.ndarray, g
         da = dz @ net.layers[i].W
 
 
-def _discriminative_backward(net: Network, acts: list[np.ndarray], labels: np.ndarray) -> tuple[NetworkGrads, float]:
+def _discriminative_backward(
+    net: Network, acts: list[np.ndarray], y_hat: np.ndarray, labels: np.ndarray
+) -> tuple[NetworkGrads, float]:
     p = labels.shape[0]
-    logits = acts[-1] @ net.out_W.T + net.out_b
-    y_hat = softmax(logits)
     loss = float(cross_entropy(labels, y_hat).mean())
     q = _clamp_prob(y_hat)
     # cross-entropy derivative w.r.t. the probabilities, then through softmax
@@ -335,9 +373,14 @@ def _discriminative_backward(net: Network, acts: list[np.ndarray], labels: np.nd
 
 
 def _generative_backward(net: Network, acts: list[np.ndarray]) -> tuple[NetworkGrads, float]:
-    p = acts[0].shape[0]
+    """Gradients and value of the mean reconstruction loss, decoding from
+    the encoder activations ``acts``."""
     recs = _decode_stack(net, acts[-1])
-    loss = float(cross_entropy(acts[0], recs[0]).mean())
+    return _reconstruction_grads(net, acts, recs), float(cross_entropy(acts[0], recs[0]).mean())
+
+
+def _reconstruction_grads(net: Network, acts: list[np.ndarray], recs: list[np.ndarray]) -> NetworkGrads:
+    p = acts[0].shape[0]
     grads = _zero_grads(net)
     # walk the decode chain back up; du is the pre-sigmoid gradient at level i
     du = (recs[0] - acts[0]) / p
@@ -351,28 +394,32 @@ def _generative_backward(net: Network, acts: list[np.ndarray]) -> tuple[NetworkG
         else:
             d_top = d_rec
     _encoder_backward(net, acts, d_top, grads)
-    return grads, loss
+    return grads
 
 
 def network_loss(net: Network, batch: DataBatch, hybrid_weight: float) -> tuple[float, float, float]:
     """Mean hybrid objective over a batch: label loss + weight * reconstruction."""
-    acts = _encode_stack(net, batch.inputs)
-    y_hat = softmax(acts[-1] @ net.out_W.T + net.out_b)
-    disc = float(cross_entropy(batch.labels, y_hat).mean())
-    gen = 0.0
-    if hybrid_weight != 0.0:
-        recs = _decode_stack(net, acts[-1])
-        gen = float(cross_entropy(acts[0], recs[0]).mean())
+    fwd = forward(net, batch.inputs, decode=hybrid_weight != 0.0)
+    disc = mean_discriminative_loss(net, batch, fwd)
+    gen = float(fwd.rec_losses.mean()) if hybrid_weight != 0.0 else 0.0
     return disc + hybrid_weight * gen, disc, gen
 
 
-def network_gradients(net: Network, batch: DataBatch, hybrid_weight: float) -> tuple[NetworkGrads, float, float]:
-    """Analytic gradients of the mean hybrid objective, without updating."""
-    acts = _encode_stack(net, batch.inputs)
-    grads, disc = _discriminative_backward(net, acts, batch.labels)
+def network_gradients(
+    net: Network, batch: DataBatch, hybrid_weight: float, fwd: Forward | None = None
+) -> tuple[NetworkGrads, float, float]:
+    """Analytic gradients of the mean hybrid objective, without updating.
+
+    Without ``fwd`` the decoder stack runs only if ``hybrid_weight`` is
+    non-zero.
+    """
+    if fwd is None:
+        fwd = forward(net, batch.inputs, decode=hybrid_weight != 0.0)
+    grads, disc = _discriminative_backward(net, fwd.acts, fwd.y_hat, batch.labels)
     gen = 0.0
     if hybrid_weight != 0.0:
-        gen_grads, gen = _generative_backward(net, acts)
+        gen_grads = _reconstruction_grads(net, fwd.acts, fwd.recs)
+        gen = float(fwd.rec_losses.mean())
         for g, gg in zip(grads.layers, gen_grads.layers):
             g.dW += hybrid_weight * gg.dW
             g.db += hybrid_weight * gg.db
@@ -380,11 +427,11 @@ def network_gradients(net: Network, batch: DataBatch, hybrid_weight: float) -> t
     return grads, disc, gen
 
 
-def finetune(net: Network, batch: DataBatch, hybrid_weight: float = 0.2) -> Network:
+def finetune(net: Network, batch: DataBatch, hybrid_weight: float = 0.2, fwd: Forward | None = None) -> Network:
     """One SGD step on the mean hybrid objective over the batch."""
     if batch.inputs.shape[1] != net.n_input:
         raise ValueError("batch dimensionality does not match the network")
-    grads, _, _ = network_gradients(net, batch, hybrid_weight)
+    grads, _, _ = network_gradients(net, batch, hybrid_weight, fwd)
     lr = net.learning_rate
     for layer, g in zip(net.layers, grads.layers):
         layer.W -= lr * g.dW

@@ -1,7 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 
+import adaptdae.gp as gp
+import adaptdae.harness as harness
 from adaptdae.cli import main
 from adaptdae.harness import read_trace, replay_summary
 
@@ -67,6 +70,33 @@ class TestRun:
         with pytest.raises(SystemExit) as err:
             main(["run", "--config", config_path, "--frobnicate"])
         assert err.value.code == 2
+
+
+class TestRuntimeFailures:
+    """A run that fails after its config passed validation exits 1."""
+
+    def test_gp_factorisation_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "radae.cfg"
+        path.write_text(GOOD_CONFIG.replace("policy = sdae", "policy = radae"))
+
+        def not_positive_definite(K, noise_var):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gp, "_factorise", not_positive_definite)
+        assert main(["run", "--config", str(path), "--out", ""]) == 1
+        assert capsys.readouterr().err.startswith("runtime failure: LinAlgError: not positive definite")
+
+    def test_numerical_breakdown_exits_1(self, config_path, monkeypatch, capsys):
+        real_finetune = harness.finetune
+
+        def poisoning(net, batch, *args, **kwargs):
+            real_finetune(net, batch, *args, **kwargs)
+            net.layers[0].W[:] = np.nan
+            return net
+
+        monkeypatch.setattr(harness, "finetune", poisoning)
+        assert main(["run", "--config", config_path, "--out", ""]) == 1
+        assert capsys.readouterr().err.startswith("runtime failure: NumericalBreakdown: batch 1: ")
 
 
 class TestValidate:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,3 +168,16 @@ class TestMarginalLikelihood:
     def test_needs_two_observations(self):
         with pytest.raises(ValueError):
             optimize_hyperparams(np.zeros((1, 1)), np.zeros(1))
+
+
+def test_scipy_is_imported_only_when_a_gp_is_fitted():
+    # runs that never fit a GP (sdae, midae, validate, replay) skip its import
+    code = (
+        "import sys, adaptdae.cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        "from adaptdae.gp import fit\n"
+        "fit([[0.0], [1.0]], [0.0, 1.0])\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import adaptdae.harness as harness
+import adaptdae.midae as midae
+import adaptdae.network as network
 from adaptdae.config import (
     ConfigError,
     ExperimentConfig,
@@ -10,6 +14,7 @@ from adaptdae.config import (
 )
 from adaptdae.controller import ControllerConfig
 from adaptdae.harness import (
+    NumericalBreakdown,
     eval_global,
     eval_local,
     prepare_data,
@@ -201,6 +206,72 @@ class TestRunExperiment:
             run_experiment(cfg)
 
 
+def comparable(records):
+    return [replace(r, wall_ms=0.0) for r in records]
+
+
+class TestSharedForward:
+    """Each batch is forwarded once per parameter version."""
+
+    @pytest.fixture
+    def forwards(self, monkeypatch):
+        calls = []
+        real = network.forward
+
+        def counting(net, X, decode=True):
+            calls.append(decode)
+            return real(net, X, decode)
+
+        for module in (harness, midae, network):
+            monkeypatch.setattr(module, "forward", counting)
+        return calls
+
+    def test_sdae_forwards_once_per_batch(self, forwards):
+        run_experiment(with_pool(tiny_config(policy="sdae", batches=12)))
+        assert len(forwards) == 12
+
+    def test_midae_forwards_again_only_after_events(self, forwards):
+        cfg = with_pool(tiny_config(policy="midae", batches=25), capacity=60)
+        cfg.midae.pool_threshold = 30
+        cfg.midae.delta_init = 3
+        result = run_experiment(cfg)
+        events = sum(r.action == "event" for r in result.records)
+        assert events > 0
+        # increments also run label-only forwards of the hard pool
+        assert forwards.count(True) == 25 + events
+
+    @pytest.mark.parametrize("policy", ["sdae", "midae", "radae"])
+    def test_sharing_changes_no_result(self, monkeypatch, policy):
+        cfg = with_pool(tiny_config(policy=policy, seed=3, batches=20), capacity=60)
+        cfg.midae.pool_threshold = 30
+        cfg.midae.delta_init = 3
+        shared = run_experiment(cfg)
+        real_finetune, real_step = harness.finetune, harness.merge_inc_step
+        # drop every forward the harness hands on, so each step recomputes
+        monkeypatch.setattr(harness, "finetune", lambda net, batch, w, fwd: real_finetune(net, batch, w))
+        monkeypatch.setattr(harness, "merge_inc_step", lambda *args: real_step(*args[:-1]))
+        recomputed = run_experiment(cfg)
+        assert comparable(shared.records) == comparable(recomputed.records)
+        if policy == "radae":
+            actions = {r.action for r in shared.records}
+            assert {"pool", "increment", "merge"} <= actions
+
+
+class TestNumericalBreakdown:
+    def test_non_finite_evaluation_names_the_batch(self, monkeypatch):
+        real_finetune = harness.finetune
+
+        def poisoning(net, batch, *args, **kwargs):
+            real_finetune(net, batch, *args, **kwargs)
+            if batch.seq_id == 2:
+                net.layers[0].W[:] = np.nan
+            return net
+
+        monkeypatch.setattr(harness, "finetune", poisoning)
+        with pytest.raises(NumericalBreakdown, match=r"^batch 3: .*l_gen=nan"):
+            run_experiment(with_pool(tiny_config(policy="sdae")))
+
+
 def check_eval_precedes_training(events):
     """True when every batch is evaluated before anything trains on it."""
     trained = set()
@@ -218,13 +289,13 @@ class TestEvaluationOrdering:
         real_batch_errors = harness.batch_errors
         real_finetune = harness.finetune
 
-        def spy_errors(net, batch):
+        def spy_errors(net, batch, *args, **kwargs):
             events.append(("eval", batch.seq_id))
-            return real_batch_errors(net, batch)
+            return real_batch_errors(net, batch, *args, **kwargs)
 
-        def spy_finetune(net, batch, w=0.2):
+        def spy_finetune(net, batch, w=0.2, *args, **kwargs):
             events.append(("train", batch.seq_id))
-            return real_finetune(net, batch, w)
+            return real_finetune(net, batch, w, *args, **kwargs)
 
         monkeypatch.setattr(harness, "batch_errors", spy_errors)
         monkeypatch.setattr(harness, "finetune", spy_finetune)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adaptdae.midae import MiDaeState, merge_inc_step, update_rule
-from adaptdae.network import finetune
+from adaptdae.network import finetune, forward
 from adaptdae.pools import PoolSet
 from conftest import make_batch, make_net
 
@@ -108,6 +108,37 @@ class TestMergeIncStep:
             merge_inc_step(net, make_batch(rng, 8, 5, 3, seq_id=i), pools, state, rng)
         assert len(state.window_losses) == 16
         assert state.window_mean == pytest.approx(float(np.mean(state.window_losses)))
+
+
+def params(net):
+    arrays = [net.out_W, net.out_b]
+    for layer in net.layers:
+        arrays.extend([layer.W, layer.b, layer.b_rec])
+    return arrays
+
+
+class TestSharedForward:
+    def test_shared_forward_equals_recomputing_across_events(self):
+        net_a = make_net(np.random.default_rng(3), dims=5, widths=(8, 4), classes=3)
+        net_b = copy.deepcopy(net_a)
+        pools_a = PoolSet(capacity=1000, distance_threshold=0.5)
+        pools_b = PoolSet(capacity=1000, distance_threshold=0.5)
+        state_a = fresh_state(delta_nodes=4, pool_threshold=10)
+        state_b = fresh_state(delta_nodes=4, pool_threshold=10)
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        data = np.random.default_rng(5)
+        events = 0
+        for i in range(15):
+            batch = make_batch(data, 8, 5, 3, seq_id=i)
+            # the forward handed in is stale once an event edits the network
+            ev_a = merge_inc_step(net_a, batch, pools_a, state_a, rng_a, fwd=forward(net_a, batch.inputs))
+            ev_b = merge_inc_step(net_b, batch, pools_b, state_b, rng_b)
+            assert ev_a == ev_b
+            events += ev_a is not None
+            assert all(np.array_equal(a, b) for a, b in zip(params(net_a), params(net_b)))
+            assert list(state_a.window_losses) == list(state_b.window_losses)
+            assert pools_a.hard_count() == pools_b.hard_count()
+        assert events >= 2, "expected structural events"
 
 
 class TestStateValidation:

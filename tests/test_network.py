@@ -15,14 +15,18 @@ from adaptdae.network import (
     discriminative_loss,
     encode,
     finetune,
+    forward,
     generative_loss,
+    mean_discriminative_loss,
     network_gradients,
     network_loss,
+    per_example_reconstruction_loss,
     predict,
     pretrain_layer,
     sigmoid,
     softmax,
 )
+import adaptdae.network as network
 from conftest import make_batch, make_net
 
 
@@ -51,7 +55,35 @@ def assert_grad_close(analytic, numeric, rtol=1e-4):
     )
 
 
+def masked_sigmoid(v):
+    """The textbook two-branch logistic, selected by a boolean mask: the
+    bit-exact reference for ``sigmoid``."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestSigmoid:
+    @pytest.mark.parametrize("shape", [(100, 32), (1000, 784)])
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 800.0])
+    def test_bit_identical_to_masked_form(self, rng, shape, scale):
+        v = rng.standard_normal(shape) * scale
+        v.flat[:8] = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-300, -1e-300]
+        assert same_bits(sigmoid(v), masked_sigmoid(v))
+
+    def test_bit_identical_on_scalars(self):
+        for x in (0.0, -0.0, 0.5, -0.5, 37.0, -37.0, np.inf, -np.inf, 800.0, -800.0):
+            assert same_bits(sigmoid(x), masked_sigmoid(x))
+
     def test_symmetry_point(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
 
@@ -329,6 +361,45 @@ class TestFinetune:
         for i in range(50):
             finetune(net, make_batch(rng, 8, 6, 3, seq_id=i))
         net.check()
+
+
+class TestSharedForward:
+    """A forward under unchanged parameters stands in for recomputing it."""
+
+    @pytest.mark.parametrize("hybrid_weight", [0.0, 0.2, 1.0])
+    def test_finetune_with_forward_equals_recomputing(self, rng, hybrid_weight):
+        net = make_net(rng, dims=6, widths=(5, 4), classes=3)
+        shared = copy.deepcopy(net)
+        for i in range(5):
+            batch = make_batch(rng, 8, 6, 3, seq_id=i)
+            finetune(shared, batch, hybrid_weight, fwd=forward(shared, batch.inputs))
+            finetune(net, batch, hybrid_weight)
+            for a, b in zip(_collect_params(shared), _collect_params(net)):
+                assert np.array_equal(a, b)
+
+    def test_evaluations_read_the_forward(self, rng):
+        net = make_net(rng)
+        batch = make_batch(rng, 9, 6, 3)
+        fwd = forward(net, batch.inputs)
+        assert batch_errors(net, batch, fwd) == batch_errors(net, batch)
+        assert same_bits(
+            per_example_reconstruction_loss(net, batch.inputs, fwd),
+            per_example_reconstruction_loss(net, batch.inputs),
+        )
+        assert mean_discriminative_loss(net, batch, fwd) == mean_discriminative_loss(net, batch)
+        assert same_bits(fwd.y_hat, predict(net, batch.inputs))
+
+    def test_label_loss_alone_skips_the_decoder(self, rng, monkeypatch):
+        net = make_net(rng)
+        batch = make_batch(rng, 8, 6, 3)
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decoder ran for a label-only gradient")
+
+        monkeypatch.setattr(network, "decode", no_decode)
+        grads, _, gen = network_gradients(net, batch, hybrid_weight=0.0)
+        assert gen == 0.0
+        assert forward(net, batch.inputs, decode=False).recs is None
 
 
 def _reference_disc_gradients(net, batch):
