@@ -13,7 +13,7 @@ from .gp import GprModel
 from .network import DataBatch, Layer, Network, batch_errors, finetune, init_network, predict
 from .pools import PoolSet
 from .stream import LabeledSource, StreamSpec, build_stream, load_idx, synth_dataset
-from .structure import ActionKind, StructuralAction
+from .structure import ActionKind
 
 __all__ = [
     "ActionKind",
@@ -29,7 +29,6 @@ __all__ = [
     "RlController",
     "RlState",
     "StreamSpec",
-    "StructuralAction",
     "batch_errors",
     "build_stream",
     "finetune",

@@ -45,7 +45,6 @@ class MiDaeConfig:
     improve_eps: float = 0.01
     converge_eps: float = 0.001
     pool_threshold: int | None = None  # defaults to pool.capacity
-    loss_window: int = 10000
 
 
 @dataclass
@@ -136,7 +135,6 @@ _KEYS = {
     "midae.improve_eps": ("midae", "improve_eps", float),
     "midae.converge_eps": ("midae", "converge_eps", float),
     "midae.pool_threshold": ("midae", "pool_threshold", _parse_optional_int),
-    "midae.loss_window": ("midae", "loss_window", int),
 }
 
 

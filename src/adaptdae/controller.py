@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,8 +34,8 @@ class ControllerConfig:
     delta_scale: float | None = None  # size-change coefficient; defaults to half the initial width
     size_target: float = 1.0  # preferred ratio of current to initial width
     size_width: float = 0.5  # spread of the size-change envelope
-    size_low: float = 0.5  # reward penalty kicks in below this ratio
-    size_high: float = 2.0  # and above this one
+    size_low: float = 0.5  # reward penalty kicks in below this ratio; decide never merges below it
+    size_high: float = 2.0  # and above this one; decide never increments past it
     state_space: int = 3  # 1..4, see compute_state
     short_windows: tuple[int, int, int] = (5, 15, 30)
     refit_interval: int = 10
@@ -83,18 +84,18 @@ class RlState:
 
 @dataclass
 class History:
-    """Per-batch error, width-ratio and label-histogram records."""
+    """Per-batch error and width-ratio records and the latest histogram divergence."""
 
     gen: list = field(default_factory=list)
     cls: list = field(default_factory=list)
     ratios: list = field(default_factory=list)
-    histograms: list = field(default_factory=list)
+    kl: float = 0.0
 
-    def record(self, l_gen: float, l_cls: float, width_ratio: float, histogram: np.ndarray) -> None:
+    def record(self, l_gen: float, l_cls: float, width_ratio: float, kl: float) -> None:
         self.gen.append(float(l_gen))
         self.cls.append(float(l_cls))
         self.ratios.append(float(width_ratio))
-        self.histograms.append(np.asarray(histogram, dtype=np.float64))
+        self.kl = float(kl)
 
 
 def ema_update(prev: float, current: float, alpha: float) -> float:
@@ -123,12 +124,13 @@ def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
     return max(0.0, float(np.sum(P[mask] * np.log(P[mask] / Qf[mask]))))
 
 
-def window_kl(histograms: list, window: int) -> float:
-    """Divergence of the latest histogram from the mean of its predecessors."""
-    if len(histograms) < 2:
+def window_kl(window: Sequence[np.ndarray]) -> float:
+    """Divergence of the newest histogram in ``window`` from the mean of the
+    ones before it."""
+    if len(window) < 2:
         return 0.0
-    prev = histograms[max(0, len(histograms) - 1 - window) : -1]
-    return kl_divergence(histograms[-1], np.mean(prev, axis=0))
+    *prev, newest = window
+    return kl_divergence(newest, np.mean(prev, axis=0))
 
 
 def compute_state(history: History, cfg: ControllerConfig) -> RlState:
@@ -140,9 +142,7 @@ def compute_state(history: History, cfg: ControllerConfig) -> RlState:
     """
     if not history.cls:
         raise ValueError("state requires at least one recorded batch")
-    kl = None
-    if cfg.state_space in (2, 4):
-        kl = window_kl(history.histograms, cfg.ema_window)
+    kl = history.kl if cfg.state_space in (2, 4) else None
     if cfg.state_space in (1, 2):
         m1, m2, m3 = cfg.short_windows
         return RlState(
@@ -337,15 +337,23 @@ class RlController:
         self.history = History()
         self.prev_state = None
         self.prev_action = None
+        self.width = initial_width
 
-    def observe(self, l_gen: float, l_cls: float, width: int, histogram: np.ndarray) -> None:
-        self.history.record(l_gen, l_cls, width / self.initial_width, histogram)
+    def observe(self, l_gen: float, l_cls: float, width: int, kl: float) -> None:
+        self.width = width
+        self.history.record(l_gen, l_cls, width / self.initial_width, kl)
 
     def decide(self, n: int) -> ControlDecision:
+        """The decision for batch ``n``, its size cut so that the width stays
+        inside the ``size_low``..``size_high`` corridor around the initial width."""
         decision = control_step(
             n, self.q, self.prev_state, self.prev_action, self.history, self.cfg, self.rng
         )
         if decision.state is not None:
             self.prev_state = decision.state
             self.prev_action = decision.kind
+        ceiling = math.floor(self.cfg.size_high * self.initial_width)
+        floor = math.ceil(self.cfg.size_low * self.initial_width)
+        decision.delta_inc = min(decision.delta_inc, max(0, ceiling - self.width))
+        decision.delta_mrg = min(decision.delta_mrg, self.width // 2, max(0, self.width - floor))
         return decision

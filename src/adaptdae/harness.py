@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,19 +82,18 @@ class RunResult:
     trace_path: str | None
 
 
-def eval_local(net: Network, next_batch: DataBatch) -> float:
-    """Classification error on the upcoming batch, before training on it."""
-    return batch_errors(net, next_batch)[1]
-
-
 def _evaluate_upcoming(net: Network, batch: DataBatch, index: int) -> tuple[Forward, tuple[float, float]]:
     """Forward batch ``index`` before anything trains on it and measure its
     losses; the forward serves its training while the parameters stay."""
     fwd = forward(net, batch.inputs)
     l_gen, l_cls = batch_errors(net, batch, fwd)
-    if not (math.isfinite(l_gen) and math.isfinite(l_cls)):
+    # a NaN confined to the read-out leaves both losses finite: argmax of a
+    # NaN row still names a class
+    read_out_finite = bool(np.isfinite(fwd.y_hat).all())
+    if not (math.isfinite(l_gen) and math.isfinite(l_cls) and read_out_finite):
         raise NumericalBreakdown(
-            f"batch {index}: pre-training evaluation is not finite (l_gen={l_gen!r}, l_cls={l_cls!r})"
+            f"batch {index}: pre-training evaluation is not finite "
+            f"(l_gen={l_gen!r}, l_cls={l_cls!r}, read-out finite={read_out_finite})"
         )
     return fwd, (l_gen, l_cls)
 
@@ -191,11 +191,11 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
             improve_eps=cfg.midae.improve_eps,
             converge_eps=cfg.midae.converge_eps,
             pool_threshold=threshold,
-            loss_window=cfg.midae.loss_window,
         )
 
     records: list[TraceRecord] = []
-    histograms: list[np.ndarray] = []
+    # the newest label histogram and the ema_window ones before it
+    histograms: deque[np.ndarray] = deque(maxlen=cfg.rl.ema_window + 1)
     trained_ids: set[int] = set()
     fwd, next_eval = _evaluate_upcoming(net, batches[0], 0)
 
@@ -205,9 +205,8 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
         # under the current parameters until a structural edit drops it
         l_gen, l_cls = next_eval
         assert batch.seq_id not in trained_ids, "evaluation must precede training"
-        histogram = batch.class_histogram()
-        histograms.append(histogram)
-        kl = window_kl(histograms, cfg.rl.ema_window)
+        histograms.append(batch.class_histogram())
+        kl = window_kl(histograms)
 
         update_recent(pools, batch)
         update_diverse(pools, batch)
@@ -217,46 +216,35 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
         reward = None
         q_values = None
         if cfg.policy == "radae":
-            controller.observe(l_gen, l_cls, net.layers[0].n_hidden, histogram)
+            controller.observe(l_gen, l_cls, net.layers[0].n_hidden, kl)
             decision = controller.decide(n)
             action = decision.kind.value
             reward = decision.reward
             q_values = decision.q_values
-            width = net.layers[0].n_hidden
             if decision.kind is ActionKind.POOL:
                 diverse = list(pools.diverse)
                 trained_ids.update(b.seq_id for b in diverse)
                 pool_finetune(net, diverse, cfg.nn.hybrid_weight)
                 fwd = None
-            elif decision.kind is ActionKind.INCREMENT and decision.delta_inc > 0:
-                # keep the width ratio inside the configured corridor
-                ceiling = int(math.floor(cfg.rl.size_high * cfg.nn.widths[0]))
-                applied = min(decision.delta_inc, max(0, ceiling - width))
-                if applied > 0:
-                    recent = list(pools.recent)
-                    trained_ids.update(b.seq_id for b in recent)
-                    increment_nodes(net, applied, recent, train_rng)
-                    delta = applied
-                    fwd = None
-            elif decision.kind is ActionKind.MERGE and decision.delta_mrg > 0:
-                floor = int(math.ceil(cfg.rl.size_low * cfg.nn.widths[0]))
-                applied = min(decision.delta_mrg, width // 2, max(0, width - floor))
-                if applied > 0:
-                    merge_nodes(net, applied)
-                    delta = -applied
-                    fwd = None
-            finetune(net, batch, cfg.nn.hybrid_weight, fwd)
-            trained_ids.add(batch.seq_id)
-        elif cfg.policy == "midae":
+            elif decision.delta_inc > 0:
+                recent = list(pools.recent)
+                trained_ids.update(b.seq_id for b in recent)
+                increment_nodes(net, decision.delta_inc, recent, train_rng)
+                delta = decision.delta_inc
+                fwd = None
+            elif decision.delta_mrg > 0:
+                merge_nodes(net, decision.delta_mrg)
+                delta = -decision.delta_mrg
+                fwd = None
+        if cfg.policy == "midae":
             before = net.layers[0].n_hidden
             event = merge_inc_step(net, batch, pools, midae_state, train_rng, cfg.nn.hybrid_weight, fwd)
-            trained_ids.add(batch.seq_id)
             if event is not None:
                 action = "event"
                 delta = net.layers[0].n_hidden - before
-        else:  # sdae: fixed structure
+        else:  # sdae keeps its structure; radae acted above
             finetune(net, batch, cfg.nn.hybrid_weight, fwd)
-            trained_ids.add(batch.seq_id)
+        trained_ids.add(batch.seq_id)
 
         fwd = None  # stale now that the batch trained; free it before the next
         if n + 1 < len(batches):

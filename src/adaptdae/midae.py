@@ -11,8 +11,7 @@ objective afterwards.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +43,6 @@ class MiDaeState:
     improve_eps: float = 0.01
     converge_eps: float = 0.001
     pool_threshold: int = 10000
-    loss_window: int = 10000
-    window_losses: deque = field(default_factory=deque)
     prev_objective: float | None = None
 
     def __post_init__(self):
@@ -53,13 +50,6 @@ class MiDaeState:
             raise ValueError("delta_nodes must be non-negative")
         if not self.improve_eps > self.converge_eps >= 0:
             raise ValueError("improve_eps must exceed converge_eps >= 0")
-        self.window_losses = deque(self.window_losses, maxlen=self.loss_window)
-
-    @property
-    def window_mean(self) -> float | None:
-        if not self.window_losses:
-            return None
-        return float(np.mean(self.window_losses))
 
 
 def update_rule(state: MiDaeState, e_now: float, e_prev: float) -> int:
@@ -99,7 +89,6 @@ def merge_inc_step(
         fwd = forward(net, batch.inputs)
     losses = per_example_reconstruction_loss(net, batch.inputs, fwd)
     objective = mean_discriminative_loss(net, batch, fwd)
-    state.window_losses.extend(losses)
     update_hard(pools, batch, losses)
 
     event = None

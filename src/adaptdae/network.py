@@ -470,8 +470,8 @@ def pretrain_layer(
     net: Network,
     layer_index: int,
     batches: list[DataBatch],
-    epochs: int = 1,
-    rng: np.random.Generator | None = None,
+    epochs: int,
+    rng: np.random.Generator,
 ) -> Network:
     """Greedy reconstruction training of one layer over a pool of batches.
 
@@ -480,8 +480,6 @@ def pretrain_layer(
     """
     if not batches:
         raise ValueError("no batches to pre-train on")
-    if rng is None:
-        rng = np.random.default_rng()
     layer = net.layers[layer_index]
     lr = net.learning_rate
     for _ in range(epochs):

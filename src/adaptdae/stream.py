@@ -230,41 +230,3 @@ def load_idx(images_path: str, labels_path: str) -> LabeledSource:
     source = LabeledSource(examples=examples)
     source.validate()
     return source
-
-
-def save_stream(path: str, batches: list[DataBatch]) -> None:
-    """Write batches to the binary cache: a K, D, p, T header then
-    big-endian float64 inputs and uint8 class labels per batch."""
-    if not batches:
-        raise ValueError("nothing to save")
-    K = batches[0].labels.shape[1]
-    D = batches[0].inputs.shape[1]
-    p = batches[0].size
-    for b in batches:
-        if b.labels.shape[1] != K or b.inputs.shape[1] != D or b.size != p:
-            raise ValueError("all batches must share K, D and batch size")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", K, D, p, len(batches)))
-        for b in batches:
-            f.write(np.ascontiguousarray(b.inputs, dtype=">f8").tobytes())
-            f.write(b.label_indices().astype(np.uint8).tobytes())
-
-
-def load_stream(path: str) -> list[DataBatch]:
-    raw = _read_exact(path)
-    if len(raw) < 16:
-        raise ValueError(f"{path}: truncated header")
-    K, D, p, T = struct.unpack_from(">IIII", raw, 0)
-    batch_bytes = p * D * 8 + p
-    if len(raw) < 16 + T * batch_bytes:
-        raise ValueError(f"{path}: truncated body")
-    eye = np.eye(K)
-    batches = []
-    offset = 16
-    for t in range(T):
-        inputs = np.frombuffer(raw, dtype=">f8", count=p * D, offset=offset).reshape(p, D)
-        offset += p * D * 8
-        idx = np.frombuffer(raw, dtype=np.uint8, count=p, offset=offset)
-        offset += p
-        batches.append(DataBatch(seq_id=t, inputs=inputs.astype(np.float64), labels=eye[idx]))
-    return batches

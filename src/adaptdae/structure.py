@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,20 +22,6 @@ class ActionKind(str, Enum):
     POOL = "pool"
     INCREMENT = "increment"
     MERGE = "merge"
-
-
-@dataclass(frozen=True)
-class StructuralAction:
-    """A concrete action: Pool carries no count, the others carry one."""
-
-    kind: ActionKind
-    count: int = 0
-
-    def __post_init__(self):
-        if (self.count == 0) != (self.kind is ActionKind.POOL):
-            raise ValueError(f"{self.kind.value} with count={self.count}")
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
 
 
 def _downstream(net: Network) -> np.ndarray:
@@ -188,18 +173,3 @@ def pool_finetune(net: Network, diverse_batches: list[DataBatch], hybrid_weight:
     for batch in diverse_batches:
         finetune(net, batch, hybrid_weight)
     return net
-
-
-def apply_action(
-    net: Network,
-    action: StructuralAction,
-    recent_batches: list[DataBatch],
-    diverse_batches: list[DataBatch],
-    rng: np.random.Generator,
-    hybrid_weight: float = 0.2,
-) -> Network:
-    if action.kind is ActionKind.POOL:
-        return pool_finetune(net, diverse_batches, hybrid_weight)
-    if action.kind is ActionKind.INCREMENT:
-        return increment_nodes(net, action.count, recent_batches, rng)
-    return merge_nodes(net, action.count)

@@ -1,7 +1,10 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptdae.controller import (
     ACTIONS,
@@ -20,6 +23,7 @@ from adaptdae.controller import (
     kl_divergence,
     q_update,
     select_action,
+    window_kl,
 )
 from adaptdae.structure import ActionKind
 
@@ -64,11 +68,9 @@ class TestKl:
             kl_divergence(np.array([0.7, 0.7]), np.array([0.5, 0.5]))
 
 
-def record_constant(history, n, lg, lc, ratio=1.0, hist=None):
-    if hist is None:
-        hist = np.array([0.5, 0.5])
+def record_constant(history, n, lg, lc, ratio=1.0, kl=0.0):
     for _ in range(n):
-        history.record(lg, lc, ratio, hist)
+        history.record(lg, lc, ratio, kl)
 
 
 class TestComputeState:
@@ -83,15 +85,26 @@ class TestComputeState:
     def test_width_ratio_after_growth(self):
         history = History()
         record_constant(history, 5, 0.5, 0.5, ratio=1.0)
-        history.record(0.5, 0.5, 1.5, np.array([0.5, 0.5]))
+        history.record(0.5, 0.5, 1.5, 0.0)
         state = compute_state(history, cfg_with())
         assert state.width_ratio == 1.5
 
     def test_kl_zero_for_identical_histograms(self):
+        kl = window_kl(deque([np.array([0.3, 0.7])] * 10, maxlen=31))
+        assert kl == 0.0
         history = History()
-        record_constant(history, 10, 0.5, 0.5, hist=np.array([0.3, 0.7]))
+        record_constant(history, 10, 0.5, 0.5, kl=kl)
         state = compute_state(history, cfg_with(state_space=4))
         assert state.kl == 0.0
+
+    def test_state_carries_the_latest_kl(self):
+        history = History()
+        history.record(0.5, 0.5, 1.0, 0.25)
+        history.record(0.5, 0.5, 1.0, 0.125)
+        for space in (2, 4):
+            assert compute_state(history, cfg_with(state_space=space)).kl == 0.125
+        for space in (1, 3):
+            assert compute_state(history, cfg_with(state_space=space)).kl is None
 
     def test_dimensions_per_state_space(self):
         history = History()
@@ -104,7 +117,7 @@ class TestComputeState:
         history = History()
         values = [0.9, 0.4, 0.7, 0.2]
         for v in values:
-            history.record(v, v, 1.0, np.array([0.5, 0.5]))
+            history.record(v, v, 1.0, 0.0)
         cfg = cfg_with(ema_window=30)
         alpha = 2.0 / 31.0
         acc = values[0]
@@ -281,7 +294,6 @@ class TestControlStep:
         )
         rng_data = np.random.default_rng(9)
         errors = [(float(g), float(c)) for g, c in rng_data.random((10, 2))]
-        hist = np.array([0.5, 0.5])
 
         ctrl = RlController(cfg, initial_width=10, rng=np.random.default_rng(1))
         prev_state = None
@@ -290,7 +302,7 @@ class TestControlStep:
         rotation = (ActionKind.INCREMENT, ActionKind.MERGE, ActionKind.POOL)
 
         for n, (lg, lc) in enumerate(errors):
-            ctrl.observe(lg, lc, 10, hist)
+            ctrl.observe(lg, lc, 10, 0.0)
             if n >= cfg.warmup_batches:
                 state_now = compute_state(ctrl.history, cfg)
                 if prev_state is not None:
@@ -317,13 +329,14 @@ class TestControlStep:
                 obs_counts[prev_action] += 1
             if n < cfg.greedy_after:
                 assert decision.kind is rotation[(n - cfg.warmup_batches) % 3]
-            # size fields follow the selected action
+            # size fields follow the selected action; the 0.5..2.0 corridor
+            # around width 10 caps an increment at 10 nodes and a merge at 5
             raw = delta_raw(lc, errors[n - 1][1], 1.0, cfg)
             expected_delta = math.floor(raw + 0.5)
             if decision.kind is ActionKind.INCREMENT:
-                assert decision.delta_inc == expected_delta and decision.delta_mrg == 0
+                assert decision.delta_inc == min(expected_delta, 10) and decision.delta_mrg == 0
             elif decision.kind is ActionKind.MERGE:
-                assert decision.delta_mrg == expected_delta and decision.delta_inc == 0
+                assert decision.delta_mrg == min(expected_delta, 5) and decision.delta_inc == 0
             else:
                 assert decision.delta_inc == 0 and decision.delta_mrg == 0
             prev_state = decision.state
@@ -345,3 +358,75 @@ class TestConfigValidation:
     def test_rejects_bad_corridor(self):
         with pytest.raises(ValueError):
             cfg_with(size_low=2.0, size_high=0.5).validate()
+
+
+def window_kl_sliced(histograms, window):
+    """The list-slicing form of the windowed divergence: the newest
+    histogram against the mean of up to ``window`` predecessors."""
+    if len(histograms) < 2:
+        return 0.0
+    prev = histograms[max(0, len(histograms) - 1 - window) : -1]
+    return kl_divergence(histograms[-1], np.mean(prev, axis=0))
+
+
+@st.composite
+def histogram_sequences(draw):
+    classes = draw(st.integers(2, 6))
+    counts = st.lists(st.integers(0, 20), min_size=classes, max_size=classes).filter(lambda c: sum(c) > 0)
+    rows = draw(st.lists(counts, min_size=1, max_size=60))
+    return [np.asarray(c, dtype=np.float64) / sum(c) for c in rows]
+
+
+class TestWindowKl:
+    @settings(max_examples=200, deadline=None)
+    @given(histograms=histogram_sequences(), window=st.integers(1, 40))
+    def test_bounded_window_equals_slicing(self, histograms, window):
+        recent = deque(maxlen=window + 1)
+        for i, h in enumerate(histograms):
+            recent.append(h)
+            assert window_kl(recent) == window_kl_sliced(histograms[: i + 1], window)
+
+
+def corridor_controller(width):
+    """A controller started at width 20 that has seen an error swing large
+    enough to ask for far more nodes than its corridor allows."""
+    cfg = cfg_with(delta_scale=1000.0, size_low=0.8, size_high=1.5, warmup_batches=0, greedy_after=30)
+    ctrl = RlController(cfg, initial_width=20, rng=np.random.default_rng(0))
+    ctrl.observe(0.5, 0.9, 20, 0.0)
+    ctrl.observe(0.5, 0.1, width, 0.0)
+    return ctrl
+
+
+class TestCorridor:
+    # w0 = 20 with the 0.8..1.5 corridor: widths 16..30
+    @pytest.mark.parametrize("width, room", [(15, 15), (29, 1), (30, 0), (31, 0), (45, 0)])
+    def test_increment_stops_at_the_ceiling(self, width, room):
+        decision = corridor_controller(width).decide(0)  # first sweep step: increment
+        assert decision.kind is ActionKind.INCREMENT
+        assert decision.delta_inc == room == max(0, math.floor(1.5 * 20) - width)
+        assert decision.delta_mrg == 0
+
+    @pytest.mark.parametrize("width, room", [(15, 0), (16, 0), (17, 1), (31, 15), (40, 20), (44, 22)])
+    def test_merge_stops_at_the_floor_and_at_half_the_width(self, width, room):
+        decision = corridor_controller(width).decide(1)  # second sweep step: merge
+        assert decision.kind is ActionKind.MERGE
+        assert decision.delta_mrg == room == min(width // 2, max(0, width - math.ceil(0.8 * 20)))
+        assert decision.delta_inc == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w0=st.integers(2, 40),
+        width=st.integers(1, 90),
+        low=st.floats(0.1, 1.0),
+        span=st.floats(0.05, 2.0),
+        errors=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        n=st.integers(0, 1),
+    )
+    def test_decide_never_leaves_the_corridor(self, w0, width, low, span, errors, n):
+        cfg = cfg_with(delta_scale=5.0 * w0, size_low=low, size_high=low + span, warmup_batches=0, greedy_after=30)
+        ctrl = RlController(cfg, initial_width=w0, rng=np.random.default_rng(0))
+        ctrl.observe(0.5, errors[0], w0, 0.0)
+        ctrl.observe(0.5, errors[1], width, 0.0)
+        decision = ctrl.decide(n)
+        assert 0 <= decision.delta_inc <= max(0, math.floor(cfg.size_high * w0) - width)
+        assert 0 <= decision.delta_mrg <= min(width // 2, max(0, width - math.ceil(cfg.size_low * w0)))

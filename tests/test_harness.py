@@ -16,7 +16,6 @@ from adaptdae.controller import ControllerConfig
 from adaptdae.harness import (
     NumericalBreakdown,
     eval_global,
-    eval_local,
     prepare_data,
     read_trace,
     replay_summary,
@@ -108,13 +107,6 @@ class TestConfigParsing:
 
 
 class TestEvalFunctions:
-    def test_eval_local_is_definitional(self, rng):
-        from adaptdae.network import batch_errors
-
-        net = make_net(rng)
-        batch = make_batch(rng, 10, 6, 3)
-        assert eval_local(net, batch) == batch_errors(net, batch)[1]
-
     def test_eval_global_uniform_net_near_chance(self, rng):
         net = make_net(rng, dims=4, widths=(3,), classes=4)
         net.out_W[:] = 0.0
@@ -269,6 +261,20 @@ class TestNumericalBreakdown:
 
         monkeypatch.setattr(harness, "finetune", poisoning)
         with pytest.raises(NumericalBreakdown, match=r"^batch 3: .*l_gen=nan"):
+            run_experiment(with_pool(tiny_config(policy="sdae")))
+
+    def test_non_finite_read_out_names_the_batch(self, monkeypatch):
+        real_finetune = harness.finetune
+
+        def poisoning(net, batch, *args, **kwargs):
+            real_finetune(net, batch, *args, **kwargs)
+            if batch.seq_id == 2:
+                net.out_W[:] = np.nan
+            return net
+
+        monkeypatch.setattr(harness, "finetune", poisoning)
+        # the encoder and decoder are still finite, so l_gen is too
+        with pytest.raises(NumericalBreakdown, match=r"^batch 3: .*l_gen=\d.*read-out finite=False"):
             run_experiment(with_pool(tiny_config(policy="sdae")))
 
 

@@ -11,7 +11,7 @@ from conftest import make_batch, make_net
 
 
 def fresh_state(**kwargs):
-    defaults = dict(delta_nodes=4, grow_step=4, pool_threshold=10, loss_window=100)
+    defaults = dict(delta_nodes=4, grow_step=4, pool_threshold=10)
     defaults.update(kwargs)
     return MiDaeState(**defaults)
 
@@ -100,15 +100,6 @@ class TestMergeIncStep:
             assert np.array_equal(la.b_rec, lb.b_rec)
         assert np.array_equal(net_a.out_W, net_b.out_W)
 
-    def test_window_mean_tracks_recent_losses(self, rng):
-        net = make_net(rng, dims=5, widths=(8,), classes=3)
-        pools = PoolSet(capacity=1000, distance_threshold=0.5)
-        state = fresh_state(loss_window=16, pool_threshold=10_000)
-        for i in range(6):
-            merge_inc_step(net, make_batch(rng, 8, 5, 3, seq_id=i), pools, state, rng)
-        assert len(state.window_losses) == 16
-        assert state.window_mean == pytest.approx(float(np.mean(state.window_losses)))
-
 
 def params(net):
     arrays = [net.out_W, net.out_b]
@@ -136,7 +127,6 @@ class TestSharedForward:
             assert ev_a == ev_b
             events += ev_a is not None
             assert all(np.array_equal(a, b) for a, b in zip(params(net_a), params(net_b)))
-            assert list(state_a.window_losses) == list(state_b.window_losses)
             assert pools_a.hard_count() == pools_b.hard_count()
         assert events >= 2, "expected structural events"
 

@@ -11,8 +11,6 @@ from adaptdae.stream import (
     gp_sample_curves,
     largest_remainder_counts,
     load_idx,
-    load_stream,
-    save_stream,
     synth_dataset,
 )
 
@@ -248,30 +246,3 @@ class TestLoadIdx:
             f.truncate(20)
         with pytest.raises(ValueError, match="expected"):
             load_idx(images_path, labels_path)
-
-
-class TestStreamCache:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(14)
-        source = synth_dataset(3, 6, 30, rng)
-        spec = StreamSpec(classes=3, dims=6, batch_size=25, batches=4)
-        batches = build_stream(source, spec, rng)
-        path = str(tmp_path / "stream.bin")
-        save_stream(path, batches)
-        loaded = load_stream(path)
-        assert len(loaded) == len(batches)
-        for a, b in zip(batches, loaded):
-            assert np.array_equal(a.inputs, b.inputs)
-            assert np.array_equal(a.labels, b.labels)
-            assert a.seq_id == b.seq_id
-
-    def test_truncated_cache_rejected(self, tmp_path):
-        rng = np.random.default_rng(15)
-        source = synth_dataset(2, 4, 10, rng)
-        batches = build_stream(source, StreamSpec(classes=2, dims=4, batch_size=8, batches=2), rng)
-        path = str(tmp_path / "stream.bin")
-        save_stream(path, batches)
-        with open(path, "r+b") as f:
-            f.truncate(30)
-        with pytest.raises(ValueError):
-            load_stream(path)

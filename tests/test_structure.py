@@ -5,8 +5,6 @@ import pytest
 
 from adaptdae.network import DataBatch, predict
 from adaptdae.structure import (
-    ActionKind,
-    StructuralAction,
     closest_pairs,
     increment_nodes,
     merge_nodes,
@@ -23,18 +21,6 @@ def params_equal(a, b):
             [b.W for b in b.layers] + [b.out_W, b.out_b],
         )
     )
-
-
-class TestStructuralAction:
-    def test_pool_carries_no_count(self):
-        StructuralAction(ActionKind.POOL, 0)
-        with pytest.raises(ValueError):
-            StructuralAction(ActionKind.POOL, 2)
-
-    def test_changes_need_a_count(self):
-        StructuralAction(ActionKind.INCREMENT, 3)
-        with pytest.raises(ValueError):
-            StructuralAction(ActionKind.MERGE, 0)
 
 
 class TestIncrement:
