@@ -10,6 +10,13 @@ from .config import POLICIES, ConfigError, load_config, validate_experiment
 from .harness import replay_summary, run_experiment
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="adaptdae")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -26,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("replay", help="recompute summary statistics from a trace")
     rep.add_argument("trace")
-    rep.add_argument("--last", type=int, default=250)
+    rep.add_argument("--last", type=_positive_int, default=250)
     return parser
 
 

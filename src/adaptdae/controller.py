@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,6 +58,9 @@ class ControllerConfig:
             raise ValueError("size_low must be below size_high")
         if self.state_space not in (1, 2, 3, 4):
             raise ValueError("state_space must be 1..4")
+        for key in ("ema_window", "refit_interval", "max_observations"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
         if not 0.0 < self.alpha() <= 1.0:
             raise ValueError("ema alpha must be in (0, 1]")
         if self.delta_scale is not None and self.delta_scale < 0:
@@ -82,32 +85,46 @@ class RlState:
         return np.asarray(parts, dtype=np.float64)
 
 
-@dataclass
-class History:
-    """Per-batch error and width-ratio records and the latest histogram divergence."""
-
-    gen: list = field(default_factory=list)
-    cls: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)
-    kl: float = 0.0
-
-    def record(self, l_gen: float, l_cls: float, width_ratio: float, kl: float) -> None:
-        self.gen.append(float(l_gen))
-        self.cls.append(float(l_cls))
-        self.ratios.append(float(width_ratio))
-        self.kl = float(kl)
-
-
 def ema_update(prev: float, current: float, alpha: float) -> float:
     """One step of an exponential moving average; constants are fixed points."""
     return alpha * current + (1.0 - alpha) * prev
 
 
-def _ema(values: list, alpha: float) -> float:
-    acc = values[0]
-    for v in values[1:]:
-        acc = ema_update(acc, v, alpha)
-    return acc
+class History:
+    """The stream as the state needs it, in constant space: running
+    exponential averages of the errors, the last two label errors, and the
+    latest width ratio and histogram divergence.
+
+    State spaces 3 and 4 smooth both errors with ``cfg.alpha()``; spaces 1
+    and 2 smooth both with the longest of ``cfg.short_windows`` and the
+    label error also with the two shorter ones.  Each average folds the
+    records left to right with ``ema_update``, starting from the first.
+    """
+
+    def __init__(self, cfg: ControllerConfig):
+        if cfg.state_space in (1, 2):
+            m1, m2, m3 = cfg.short_windows
+            self.cls_alphas = (2.0 / (m1 + 1), 2.0 / (m2 + 1), 2.0 / (m3 + 1))
+        else:
+            self.cls_alphas = (cfg.alpha(),)
+        self.ema_gen: float | None = None
+        self.ema_cls: tuple[float, ...] = ()  # one per entry of cls_alphas
+        self.cls: float | None = None
+        self.cls_prev: float | None = None
+        self.ratio: float | None = None
+        self.kl = 0.0
+
+    def record(self, l_gen: float, l_cls: float, width_ratio: float, kl: float) -> None:
+        l_gen, l_cls = float(l_gen), float(l_cls)
+        if self.ema_gen is None:
+            self.ema_gen = l_gen
+            self.ema_cls = (l_cls,) * len(self.cls_alphas)
+        else:
+            self.ema_gen = ema_update(self.ema_gen, l_gen, self.cls_alphas[-1])
+            self.ema_cls = tuple(ema_update(acc, l_cls, a) for acc, a in zip(self.ema_cls, self.cls_alphas))
+        self.cls_prev, self.cls = self.cls, l_cls
+        self.ratio = float(width_ratio)
+        self.kl = float(kl)
 
 
 def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
@@ -134,30 +151,21 @@ def window_kl(window: Sequence[np.ndarray]) -> float:
 
 
 def compute_state(history: History, cfg: ControllerConfig) -> RlState:
-    """Build the state vector for the configured state space.
+    """Build the state vector for the configured state space from a history
+    built for the same one.
 
     Spaces 3 and 4 use one smoothing window; spaces 1 and 2 add the shorter
     windows, and the even-numbered spaces append the histogram divergence.
     Dimensions are 5, 6, 3 and 4 for spaces 1 through 4.
     """
-    if not history.cls:
+    if history.ema_gen is None:
         raise ValueError("state requires at least one recorded batch")
-    kl = history.kl if cfg.state_space in (2, 4) else None
-    if cfg.state_space in (1, 2):
-        m1, m2, m3 = cfg.short_windows
-        return RlState(
-            ema_gen=_ema(history.gen, 2.0 / (m3 + 1)),
-            ema_cls=_ema(history.cls, 2.0 / (m3 + 1)),
-            width_ratio=history.ratios[-1],
-            kl=kl,
-            extra_cls=(_ema(history.cls, 2.0 / (m1 + 1)), _ema(history.cls, 2.0 / (m2 + 1))),
-        )
-    alpha = cfg.alpha()
     return RlState(
-        ema_gen=_ema(history.gen, alpha),
-        ema_cls=_ema(history.cls, alpha),
-        width_ratio=history.ratios[-1],
-        kl=kl,
+        ema_gen=history.ema_gen,
+        ema_cls=history.ema_cls[-1],
+        width_ratio=history.ratio,
+        kl=history.kl if cfg.state_space in (2, 4) else None,
+        extra_cls=history.ema_cls[:-1],
     )
 
 
@@ -263,16 +271,16 @@ def q_update(q: QModel, s_prev, a_prev: ActionKind, reward: float, s_new, cfg: C
     return q
 
 
-def select_action(q: QModel, state, n: int, cfg: ControllerConfig, rng: np.random.Generator) -> ActionKind:
-    """Pool during warmup, fixed rotation while sampling, then epsilon-greedy."""
+def select_action(q_values: dict, n: int, cfg: ControllerConfig, rng: np.random.Generator) -> ActionKind:
+    """Pool during warmup, fixed rotation while sampling, then epsilon-greedy
+    over ``q_values``, the utility of each action in the current state."""
     if n < cfg.warmup_batches:
         return ActionKind.POOL
     if n < cfg.greedy_after:
         return ROTATION[(n - cfg.warmup_batches) % 3]
     if rng.random() < cfg.epsilon:
         return ACTIONS[rng.integers(0, len(ACTIONS))]
-    preds = [q.predict(a, state) for a in ACTIONS]
-    return ACTIONS[int(np.argmax(preds))]
+    return ACTIONS[int(np.argmax([q_values[a] for a in ACTIONS]))]
 
 
 @dataclass
@@ -283,44 +291,6 @@ class ControlDecision:
     delta_mrg: int
     q_values: dict | None = None
     reward: float | None = None
-
-
-def control_step(
-    n: int,
-    q: QModel,
-    prev_state,
-    prev_action,
-    history: History,
-    cfg: ControllerConfig,
-    rng: np.random.Generator,
-) -> ControlDecision:
-    """One full controller decision for batch ``n``.
-
-    During warmup nothing is learned and the answer is always Pool.  After
-    that: compute the state, credit the previous action with the reward
-    earned since, pick the next action on schedule, and size it.
-    """
-    if n < cfg.warmup_batches:
-        return ControlDecision(state=None, kind=ActionKind.POOL, delta_inc=0, delta_mrg=0)
-    state = compute_state(history, cfg)
-    reward = None
-    if prev_state is not None:
-        reward = compute_reward(history.cls[-1], history.cls[-2], history.ratios[-1], cfg)
-        q_update(q, prev_state, prev_action, reward, state, cfg)
-        if n < cfg.greedy_after or n % cfg.refit_interval == 0:
-            q.refit()
-    kind = select_action(q, state, n, cfg, rng)
-    delta = 0
-    if len(history.cls) >= 2:
-        delta = compute_delta(history.cls[-1], history.cls[-2], history.ratios[-1], cfg)
-    return ControlDecision(
-        state=state,
-        kind=kind,
-        delta_inc=delta if kind is ActionKind.INCREMENT else 0,
-        delta_mrg=delta if kind is ActionKind.MERGE else 0,
-        q_values=q.predictions(state),
-        reward=reward,
-    )
 
 
 class RlController:
@@ -334,7 +304,7 @@ class RlController:
         self.rng = rng
         self.initial_width = initial_width
         self.q = QModel(max_observations=cfg.max_observations, noise_var=cfg.gp_noise)
-        self.history = History()
+        self.history = History(cfg)
         self.prev_state = None
         self.prev_action = None
         self.width = initial_width
@@ -344,16 +314,35 @@ class RlController:
         self.history.record(l_gen, l_cls, width / self.initial_width, kl)
 
     def decide(self, n: int) -> ControlDecision:
-        """The decision for batch ``n``, its size cut so that the width stays
-        inside the ``size_low``..``size_high`` corridor around the initial width."""
-        decision = control_step(
-            n, self.q, self.prev_state, self.prev_action, self.history, self.cfg, self.rng
+        """One full controller decision for batch ``n``.
+
+        During warmup nothing is learned and the answer is always Pool.
+        After that: compute the state, credit the previous action with the
+        reward earned since, refit on schedule, pick the next action and
+        size it, cut so that the width stays inside the
+        ``size_low``..``size_high`` corridor around the initial width.
+        """
+        cfg, q, h = self.cfg, self.q, self.history
+        if n < cfg.warmup_batches:
+            return ControlDecision(state=None, kind=ActionKind.POOL, delta_inc=0, delta_mrg=0)
+        state = compute_state(h, cfg)
+        reward = None
+        if self.prev_state is not None:
+            reward = compute_reward(h.cls, h.cls_prev, h.ratio, cfg)
+            q_update(q, self.prev_state, self.prev_action, reward, state, cfg)
+            if n < cfg.greedy_after or n % cfg.refit_interval == 0:
+                q.refit()
+        q_values = q.predictions(state)
+        kind = select_action(q_values, n, cfg, self.rng)
+        self.prev_state, self.prev_action = state, kind
+        delta = 0 if h.cls_prev is None else compute_delta(h.cls, h.cls_prev, h.ratio, cfg)
+        ceiling = math.floor(cfg.size_high * self.initial_width)
+        floor = math.ceil(cfg.size_low * self.initial_width)
+        return ControlDecision(
+            state=state,
+            kind=kind,
+            delta_inc=min(delta, max(0, ceiling - self.width)) if kind is ActionKind.INCREMENT else 0,
+            delta_mrg=min(delta, self.width // 2, max(0, self.width - floor)) if kind is ActionKind.MERGE else 0,
+            q_values=q_values,
+            reward=reward,
         )
-        if decision.state is not None:
-            self.prev_state = decision.state
-            self.prev_action = decision.kind
-        ceiling = math.floor(self.cfg.size_high * self.initial_width)
-        floor = math.ceil(self.cfg.size_low * self.initial_width)
-        decision.delta_inc = min(decision.delta_inc, max(0, ceiling - self.width))
-        decision.delta_mrg = min(decision.delta_mrg, self.width // 2, max(0, self.width - floor))
-        return decision

@@ -1,0 +1,55 @@
+"""The benchmark's traced run still finds and calls every name it wraps.
+
+``perfbench/child.py`` spans library functions by the names their callers
+look up; a refactor that drops or bypasses one of them would only show up
+as a missing metric in the benchmark.  This runs the traced child on a tiny
+radae stream so that it shows up here instead.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+TINY_RADAE = """
+policy = radae
+seed = 1
+out =
+summary_last = 40
+stream.classes = 3
+stream.dims = 16
+stream.batch_size = 50
+stream.batches = 40
+stream.per_class = 100
+stream.spread = 0.35
+nn.widths = 16, 16
+pool.capacity = 500
+pool.distance_threshold = 0.3
+rl.warmup_batches = 5
+rl.greedy_after = 15
+rl.refit_interval = 5
+rl.max_observations = 100
+"""
+
+
+def test_traced_child_reaches_the_controller_and_gp_spans(tmp_path):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_RADAE)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), str(config), str(tmp_path / "trace.csv"), "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["batches"] == 40
+    assert out["checks"] and all(out["checks"].values()), out["checks"]
+    layers = out["layers"]
+    for name in ("controller.decide", "controller.compute_state", "controller.refit", "gp.predict_mean"):
+        assert layers.get(name, {}).get("calls", 0) > 0, name

@@ -111,6 +111,19 @@ class TestValidate:
         assert "pool.capacity" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "lines", ["rl.refit_interval = 0", "rl.ema_window = -5\nrl.ema_alpha = 0.5", "rl.max_observations = 0"]
+    )
+    def test_controller_counts_below_one_exit_2(self, tmp_path, capsys, lines):
+        path = tmp_path / "radae.cfg"
+        path.write_text(GOOD_CONFIG.replace("policy = sdae", "policy = radae") + lines + "\n")
+        key = lines.split()[0].removeprefix("rl.")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", ""]) == 2
+        assert key in capsys.readouterr().err
+
+
 class TestReplay:
     def test_replay_matches_run(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "trace.csv")
@@ -122,6 +135,15 @@ class TestReplay:
         assert run_line.split("e_lcl=")[1] == replay_line.split("e_lcl=")[1]
         summary = replay_summary(out, 4)
         assert summary.window == 4
+
+    @pytest.mark.parametrize("last", ["0", "-5"])
+    def test_non_positive_last_exits_2(self, config_path, tmp_path, capsys, last):
+        out = str(tmp_path / "trace.csv")
+        assert main(["run", "--config", config_path, "--out", out]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(["replay", out, "--last", last])
+        assert err.value.code == 2
+        assert "--last" in capsys.readouterr().err
 
     def test_missing_trace_exits_nonzero(self, tmp_path):
         code = main(["replay", str(tmp_path / "nope.csv")])

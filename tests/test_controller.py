@@ -1,4 +1,5 @@
 import math
+import pickle
 from collections import deque
 
 import numpy as np
@@ -16,7 +17,6 @@ from adaptdae.controller import (
     compute_delta,
     compute_reward,
     compute_state,
-    control_step,
     delta_raw,
     ema_update,
     error_score,
@@ -75,7 +75,7 @@ def record_constant(history, n, lg, lc, ratio=1.0, kl=0.0):
 
 class TestComputeState:
     def test_constant_errors_are_fixed_points(self):
-        history = History()
+        history = History(cfg_with())
         record_constant(history, 40, lg=0.8, lc=0.3)
         state = compute_state(history, cfg_with())
         assert state.ema_gen == pytest.approx(0.8, abs=1e-12)
@@ -83,7 +83,7 @@ class TestComputeState:
         assert state.width_ratio == 1.0
 
     def test_width_ratio_after_growth(self):
-        history = History()
+        history = History(cfg_with())
         record_constant(history, 5, 0.5, 0.5, ratio=1.0)
         history.record(0.5, 0.5, 1.5, 0.0)
         state = compute_state(history, cfg_with())
@@ -92,33 +92,33 @@ class TestComputeState:
     def test_kl_zero_for_identical_histograms(self):
         kl = window_kl(deque([np.array([0.3, 0.7])] * 10, maxlen=31))
         assert kl == 0.0
-        history = History()
+        cfg = cfg_with(state_space=4)
+        history = History(cfg)
         record_constant(history, 10, 0.5, 0.5, kl=kl)
-        state = compute_state(history, cfg_with(state_space=4))
+        state = compute_state(history, cfg)
         assert state.kl == 0.0
 
     def test_state_carries_the_latest_kl(self):
-        history = History()
-        history.record(0.5, 0.5, 1.0, 0.25)
-        history.record(0.5, 0.5, 1.0, 0.125)
-        for space in (2, 4):
-            assert compute_state(history, cfg_with(state_space=space)).kl == 0.125
-        for space in (1, 3):
-            assert compute_state(history, cfg_with(state_space=space)).kl is None
+        for space in (1, 2, 3, 4):
+            cfg = cfg_with(state_space=space)
+            history = History(cfg)
+            history.record(0.5, 0.5, 1.0, 0.25)
+            history.record(0.5, 0.5, 1.0, 0.125)
+            assert compute_state(history, cfg).kl == (0.125 if space in (2, 4) else None)
 
     def test_dimensions_per_state_space(self):
-        history = History()
-        record_constant(history, 10, 0.5, 0.5)
         for space, dim in ((1, 5), (2, 6), (3, 3), (4, 4)):
-            state = compute_state(history, cfg_with(state_space=space))
-            assert state.vector.shape == (dim,)
+            cfg = cfg_with(state_space=space)
+            history = History(cfg)
+            record_constant(history, 10, 0.5, 0.5)
+            assert compute_state(history, cfg).vector.shape == (dim,)
 
     def test_ema_matches_hand_fold(self):
-        history = History()
+        cfg = cfg_with(ema_window=30)
+        history = History(cfg)
         values = [0.9, 0.4, 0.7, 0.2]
         for v in values:
             history.record(v, v, 1.0, 0.0)
-        cfg = cfg_with(ema_window=30)
         alpha = 2.0 / 31.0
         acc = values[0]
         for v in values[1:]:
@@ -237,7 +237,7 @@ class TestSelectAction:
         cfg = cfg_with(warmup_batches=30, greedy_after=60)
         rng = np.random.default_rng(0)
         for n in range(30):
-            assert select_action(q, state_at(0.5), n, cfg, rng) is ActionKind.POOL
+            assert select_action(q.predictions(state_at(0.5)), n, cfg, rng) is ActionKind.POOL
 
     def test_round_robin_rotation(self):
         q = QModel()
@@ -245,7 +245,7 @@ class TestSelectAction:
         rng = np.random.default_rng(0)
         expected = (ActionKind.INCREMENT, ActionKind.MERGE, ActionKind.POOL)
         for n in range(30, 60):
-            assert select_action(q, state_at(0.5), n, cfg, rng) is expected[(n - 30) % 3]
+            assert select_action(q.predictions(state_at(0.5)), n, cfg, rng) is expected[(n - 30) % 3]
 
     def test_dominant_curve_always_wins_without_exploration(self):
         q = QModel(noise_var=1e-4)
@@ -258,27 +258,81 @@ class TestSelectAction:
         q.refit()
         cfg = cfg_with(epsilon=0.0, warmup_batches=1, greedy_after=2)
         for i in range(20):
-            chosen = select_action(q, state_at(0.05 * i), 100 + i, cfg, rng)
+            chosen = select_action(q.predictions(state_at(0.05 * i)), 100 + i, cfg, rng)
             assert chosen is ActionKind.MERGE
+
+
+def ema_fold(values, alpha):
+    """The whole-history left fold the running averages must reproduce."""
+    acc = values[0]
+    for v in values[1:]:
+        acc = alpha * v + (1.0 - alpha) * acc
+    return acc
+
+
+def folded_state(gen, cls, ratios, kl, cfg):
+    """The state computed by re-folding every record seen so far."""
+    kl = kl if cfg.state_space in (2, 4) else None
+    if cfg.state_space in (1, 2):
+        m1, m2, m3 = cfg.short_windows
+        long = 2.0 / (m3 + 1)
+        extra = (ema_fold(cls, 2.0 / (m1 + 1)), ema_fold(cls, 2.0 / (m2 + 1)))
+        return RlState(ema_fold(gen, long), ema_fold(cls, long), ratios[-1], kl, extra)
+    return RlState(ema_fold(gen, cfg.alpha()), ema_fold(cls, cfg.alpha()), ratios[-1], kl)
+
+
+class TestRunningHistory:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=st.lists(
+            st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 1.0), st.floats(0.1, 3.0), st.floats(0.0, 2.0)),
+            min_size=1,
+            max_size=80,
+        ),
+        space=st.integers(1, 4),
+        ema_alpha=st.one_of(st.none(), st.floats(0.01, 1.0)),
+        ema_window=st.integers(1, 60),
+        short_windows=st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40)),
+    )
+    def test_running_averages_equal_the_left_fold(self, records, space, ema_alpha, ema_window, short_windows):
+        cfg = cfg_with(state_space=space, ema_alpha=ema_alpha, ema_window=ema_window, short_windows=short_windows)
+        history = History(cfg)
+        for i, (lg, lc, ratio, kl) in enumerate(records):
+            history.record(lg, lc, ratio, kl)
+            seen = records[: i + 1]
+            expected = folded_state([r[0] for r in seen], [r[1] for r in seen], [r[2] for r in seen], kl, cfg)
+            assert compute_state(history, cfg).vector.tobytes() == expected.vector.tobytes()
+
+    @pytest.mark.parametrize("space", [1, 2, 3, 4])
+    def test_size_is_constant_over_a_long_stream(self, space):
+        history = History(cfg_with(state_space=space))
+        errors = np.random.default_rng(space).random((10_000, 2))
+        for lg, lc in errors[:10]:
+            history.record(lg, lc, 1.0, 0.0)
+        size = len(pickle.dumps(history))
+        for lg, lc in errors[10:]:
+            history.record(lg, lc, 1.25, 0.5)
+        assert len(pickle.dumps(history)) == size
+        for value in vars(history).values():
+            assert isinstance(value, float) or (isinstance(value, tuple) and len(value) <= 3)
+        assert (history.cls, history.cls_prev) == (errors[-1, 1], errors[-2, 1])
 
 
 class TestControlStep:
     def test_warmup_decision(self):
-        cfg = cfg_with()
-        decision = control_step(0, QModel(), None, None, History(), cfg, np.random.default_rng(0))
+        ctrl = RlController(cfg_with(), initial_width=10, rng=np.random.default_rng(0))
+        decision = ctrl.decide(0)
         assert decision.state is None
         assert decision.kind is ActionKind.POOL
         assert decision.delta_inc == 0 and decision.delta_mrg == 0
 
     def test_first_decision_after_warmup_skips_update(self):
-        cfg = cfg_with(warmup_batches=2, greedy_after=5)
-        history = History()
-        record_constant(history, 3, 0.5, 0.4)
-        q = QModel()
-        decision = control_step(2, q, None, None, history, cfg, np.random.default_rng(0))
+        ctrl = RlController(cfg_with(warmup_batches=2, greedy_after=5), initial_width=10, rng=np.random.default_rng(0))
+        record_constant(ctrl.history, 3, 0.5, 0.4)
+        decision = ctrl.decide(2)
         assert decision.state is not None
         assert decision.reward is None
-        assert all(len(q.observations[a]) == 0 for a in ACTIONS)
+        assert all(len(ctrl.q.observations[a]) == 0 for a in ACTIONS)
 
     def test_ten_step_trace_matches_hand_execution(self):
         # drive the controller over a scripted error sequence and recompute
@@ -345,6 +399,23 @@ class TestControlStep:
         for a in ACTIONS:
             assert len(ctrl.q.observations[a]) == obs_counts[a]
 
+    def test_utilities_evaluated_once_per_decision(self, monkeypatch):
+        # 3 for the best next value, 1 for the old value and 3 for the
+        # utilities that both the choice and the decision carry
+        cfg = cfg_with(warmup_batches=2, greedy_after=6, refit_interval=2, epsilon=0.0)
+        ctrl = RlController(cfg, initial_width=10, rng=np.random.default_rng(0))
+        calls = []
+        predict = QModel.predict
+        monkeypatch.setattr(QModel, "predict", lambda q, a, s: calls.append(a) or predict(q, a, s))
+        per_decision = []
+        for n, (lg, lc) in enumerate(np.random.default_rng(4).random((14, 2))):
+            ctrl.observe(lg, lc, 10, 0.0)
+            before = len(calls)
+            decision = ctrl.decide(n)
+            per_decision.append(len(calls) - before)
+        assert per_decision == [0, 0, 3] + [7] * 11
+        assert decision.q_values == {a: predict(ctrl.q, a, decision.state) for a in ACTIONS}
+
 
 class TestConfigValidation:
     def test_rejects_bad_phase_order(self):
@@ -358,6 +429,13 @@ class TestConfigValidation:
     def test_rejects_bad_corridor(self):
         with pytest.raises(ValueError):
             cfg_with(size_low=2.0, size_high=0.5).validate()
+
+    # ema_alpha is set, so only the window's own check can reject it
+    @pytest.mark.parametrize("key, value", [("refit_interval", 0), ("ema_window", -5), ("max_observations", 0)])
+    def test_rejects_counts_below_one(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            cfg_with(ema_alpha=0.5, **{key: value}).validate()
+        cfg_with(ema_alpha=0.5, **{key: 1}).validate()
 
 
 def window_kl_sliced(histograms, window):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from adaptdae import midae
 from adaptdae.midae import MiDaeState, merge_inc_step, update_rule
 from adaptdae.network import finetune, forward
 from adaptdae.pools import PoolSet
@@ -80,6 +81,28 @@ class TestMergeIncStep:
                 assert event.merged == math.ceil(state.merge_ratio * event.added)
                 width = width + event.added - event.merged
                 assert net.layers[0].n_hidden == width
+
+    def test_hard_pool_bound(self, rng, monkeypatch):
+        # only examples strictly above their batch's mean loss enter, so one
+        # batch adds at most batch_size - 1 before the overflow check clears it
+        threshold, batch_size = 25, 8
+        peaks = []
+        update_hard = midae.update_hard
+
+        def measured(pools, batch, losses):
+            update_hard(pools, batch, losses)
+            peaks.append(pools.hard_count())
+            return pools
+
+        monkeypatch.setattr(midae, "update_hard", measured)
+        net = make_net(rng, dims=5, widths=(8,), classes=3)
+        pools = PoolSet(capacity=1000, distance_threshold=0.5)
+        state = fresh_state(delta_nodes=2, grow_step=1, pool_threshold=threshold)
+        for i in range(80):
+            merge_inc_step(net, make_batch(rng, batch_size, 5, 3, seq_id=i), pools, state, rng)
+            assert pools.hard_count() <= threshold
+        assert len(peaks) == 80
+        assert threshold < max(peaks) <= threshold + batch_size - 1
 
     def test_infinite_threshold_equals_plain_finetuning(self):
         init = np.random.default_rng(7)
