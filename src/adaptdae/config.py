@@ -46,6 +46,12 @@ class MiDaeConfig:
     converge_eps: float = 0.001
     pool_threshold: int | None = None  # defaults to pool.capacity
 
+    def validate(self) -> None:
+        if self.delta_init < 0:
+            raise ValueError("midae.delta_init must be non-negative")
+        if not self.improve_eps > self.converge_eps >= 0:
+            raise ValueError("midae.improve_eps must exceed midae.converge_eps >= 0")
+
 
 @dataclass
 class ExperimentConfig:
@@ -210,10 +216,9 @@ def validate_experiment(cfg: ExperimentConfig) -> list[str]:
         problems.append("pool.capacity must hold at least one batch")
     if not 0.0 <= cfg.pool.distance_threshold <= 1.0:
         problems.append("pool.distance_threshold must be in [0, 1]")
-    try:
-        cfg.rl.validate()
-    except ValueError as err:
-        problems.append(str(err))
-    if cfg.midae.improve_eps <= cfg.midae.converge_eps:
-        problems.append("midae.improve_eps must exceed midae.converge_eps")
+    for section in (cfg.rl, cfg.midae):
+        try:
+            section.validate()
+        except ValueError as err:
+            problems.append(str(err))
     return problems

@@ -135,8 +135,6 @@ def optimize_hyperparams(
     inputs: np.ndarray,
     targets: np.ndarray,
     noise_var: float = 0.0,
-    sigma_grid: np.ndarray = SIGMA_GRID,
-    length_grid: np.ndarray = LENGTH_GRID,
     initial: tuple[float, float] = (1.0, 1.0),
 ) -> tuple[float, float]:
     """Pick the grid point with the best marginal likelihood.
@@ -148,7 +146,7 @@ def optimize_hyperparams(
     y = np.asarray(targets, dtype=np.float64).ravel()
     if X.shape[0] < 2:
         raise ValueError("hyperparameter search needs at least two observations")
-    candidates = [initial] + [(float(s), float(l)) for s in sigma_grid for l in length_grid]
+    candidates = [initial] + [(float(s), float(l)) for s in SIGMA_GRID for l in LENGTH_GRID]
     best = None
     best_lml = -np.inf
     for sigma_f, length_scale in candidates:

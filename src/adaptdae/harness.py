@@ -14,7 +14,7 @@ import csv
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,23 +26,6 @@ from .pools import PoolSet, update_diverse, update_recent
 from .stream import LabeledSource, build_stream, load_idx, synth_dataset
 from .structure import ActionKind, increment_nodes, merge_nodes, pool_finetune
 
-CSV_COLUMNS = (
-    "batch",
-    "action",
-    "delta",
-    "widths",
-    "l_gen",
-    "l_cls",
-    "e_lcl",
-    "e_glb",
-    "reward",
-    "q_pool",
-    "q_increment",
-    "q_merge",
-    "kl",
-    "wall_ms",
-)
-
 
 class NumericalBreakdown(ArithmeticError):
     """The network's outputs stopped being finite during a run."""
@@ -50,6 +33,9 @@ class NumericalBreakdown(ArithmeticError):
 
 @dataclass
 class TraceRecord:
+    """One trace row.  The fields are the CSV columns, in order; ``wall_ms``
+    stays last, so a digest can drop it as the last cell of every line."""
+
     batch: int
     action: str
     delta: int
@@ -64,6 +50,11 @@ class TraceRecord:
     q_merge: float | None
     kl: float | None
     wall_ms: float
+
+
+# read once, here: writing and reading never look at the class again, so a
+# caller may replace ``TraceRecord`` with a wrapper for the length of a run
+CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
 @dataclass
@@ -299,10 +290,12 @@ def summarize(records: list[TraceRecord], last: int) -> Summary:
     return Summary(lcl_mean, lcl_std, glb_mean, glb_std, window=len(tail))
 
 
-def _fmt(value) -> str:
+def _cell(value) -> str:
     if value is None:
         return ""
-    return repr(value)
+    if isinstance(value, tuple):
+        return "x".join(str(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_trace(path: str, records: list[TraceRecord]) -> None:
@@ -310,28 +303,15 @@ def write_trace(path: str, records: list[TraceRecord]) -> None:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow(
-                [
-                    r.batch,
-                    r.action,
-                    r.delta,
-                    "x".join(str(w) for w in r.widths),
-                    _fmt(r.l_gen),
-                    _fmt(r.l_cls),
-                    _fmt(r.e_lcl),
-                    _fmt(r.e_glb),
-                    _fmt(r.reward),
-                    _fmt(r.q_pool),
-                    _fmt(r.q_increment),
-                    _fmt(r.q_merge),
-                    _fmt(r.kl),
-                    _fmt(r.wall_ms),
-                ]
-            )
+            writer.writerow([_cell(getattr(r, c)) for c in CSV_COLUMNS])
 
 
 def _parse_float(text: str) -> float | None:
     return float(text) if text else None
+
+
+# every other column is a float, or empty for None
+_PARSERS = {"batch": int, "action": str, "delta": int, "widths": lambda text: tuple(int(w) for w in text.split("x"))}
 
 
 def read_trace(path: str) -> list[TraceRecord]:
@@ -344,24 +324,7 @@ def read_trace(path: str) -> list[TraceRecord]:
         for row in reader:
             if len(row) != len(CSV_COLUMNS):
                 raise ValueError(f"{path}: malformed row {row!r}")
-            records.append(
-                TraceRecord(
-                    batch=int(row[0]),
-                    action=row[1],
-                    delta=int(row[2]),
-                    widths=tuple(int(w) for w in row[3].split("x")),
-                    l_gen=_parse_float(row[4]),
-                    l_cls=_parse_float(row[5]),
-                    e_lcl=_parse_float(row[6]),
-                    e_glb=_parse_float(row[7]),
-                    reward=_parse_float(row[8]),
-                    q_pool=_parse_float(row[9]),
-                    q_increment=_parse_float(row[10]),
-                    q_merge=_parse_float(row[11]),
-                    kl=_parse_float(row[12]),
-                    wall_ms=_parse_float(row[13]),
-                )
-            )
+            records.append(TraceRecord(**{c: _PARSERS.get(c, _parse_float)(v) for c, v in zip(CSV_COLUMNS, row)}))
     return records
 
 

@@ -45,12 +45,6 @@ class MiDaeState:
     pool_threshold: int = 10000
     prev_objective: float | None = None
 
-    def __post_init__(self):
-        if self.delta_nodes < 0:
-            raise ValueError("delta_nodes must be non-negative")
-        if not self.improve_eps > self.converge_eps >= 0:
-            raise ValueError("improve_eps must exceed converge_eps >= 0")
-
 
 def update_rule(state: MiDaeState, e_now: float, e_prev: float) -> int:
     """Adapt the node step from the ratio of consecutive objectives."""

@@ -97,11 +97,15 @@ def update_diverse(pools: PoolSet, batch: DataBatch) -> PoolSet:
 
 
 def update_hard(pools: PoolSet, batch: DataBatch, per_example_losses: np.ndarray) -> PoolSet:
-    """Keep the examples whose loss lies strictly above the batch mean."""
+    """Keep the examples whose loss lies strictly above the batch mean.
+
+    An admitted loss must also exceed the batch minimum: a batch of equal
+    losses has none above its mean, but the rounded mean can fall below them.
+    """
     losses = np.asarray(per_example_losses, dtype=np.float64)
     if losses.shape != (batch.size,):
         raise ValueError("one loss per example required")
-    mask = losses > losses.mean()
+    mask = (losses > losses.mean()) & (losses > losses.min())
     for i in np.flatnonzero(mask):
         pools.hard_inputs.append(batch.inputs[i])
         pools.hard_labels.append(batch.labels[i])

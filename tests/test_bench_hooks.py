@@ -3,7 +3,8 @@
 ``perfbench/child.py`` spans library functions by the names their callers
 look up; a refactor that drops or bypasses one of them would only show up
 as a missing metric in the benchmark.  This runs the traced child on a tiny
-radae stream so that it shows up here instead.
+stream under each policy so that it shows up here instead.  The child
+replaces ``harness.TraceRecord`` for the whole run, trace writing included.
 """
 
 import json
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -34,10 +37,30 @@ rl.refit_interval = 5
 rl.max_observations = 100
 """
 
+# the same stream, run by the two policies the controller does not drive;
+# midae's low threshold fires an event every few batches
+TINY = {
+    "sdae": TINY_RADAE.replace("policy = radae", "policy = sdae"),
+    "midae": TINY_RADAE.replace("policy = radae", "policy = midae")
+    + "midae.pool_threshold = 60\nmidae.delta_init = 4\nmidae.grow_step = 2\n",
+}
+SPANS = {
+    "sdae": ("network.finetune", "harness.write_trace"),
+    "midae": (
+        "midae.merge_inc_step",
+        "network.per_example_reconstruction_loss",
+        "pools.update_hard",
+        "structure.increment_nodes",
+        "structure.merge_nodes",
+        "network.finetune",
+        "harness.write_trace",
+    ),
+}
 
-def test_traced_child_reaches_the_controller_and_gp_spans(tmp_path):
+
+def run_traced_child(tmp_path, config_text: str) -> dict:
     config = tmp_path / "tiny.cfg"
-    config.write_text(TINY_RADAE)
+    config.write_text(config_text)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     proc = subprocess.run(
         [sys.executable, str(CHILD), str(config), str(tmp_path / "trace.csv"), "1"],
@@ -50,6 +73,17 @@ def test_traced_child_reaches_the_controller_and_gp_spans(tmp_path):
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert out["batches"] == 40
     assert out["checks"] and all(out["checks"].values()), out["checks"]
-    layers = out["layers"]
+    return out
+
+
+def test_traced_child_reaches_the_controller_and_gp_spans(tmp_path):
+    layers = run_traced_child(tmp_path, TINY_RADAE)["layers"]
     for name in ("controller.decide", "controller.compute_state", "controller.refit", "gp.predict_mean"):
+        assert layers.get(name, {}).get("calls", 0) > 0, name
+
+
+@pytest.mark.parametrize("policy", ["sdae", "midae"])
+def test_traced_child_reaches_the_policy_spans(tmp_path, policy):
+    layers = run_traced_child(tmp_path, TINY[policy])["layers"]
+    for name in SPANS[policy]:
         assert layers.get(name, {}).get("calls", 0) > 0, name

@@ -123,6 +123,14 @@ class TestValidate:
         assert main(["run", "--config", str(path), "--out", ""]) == 2
         assert key in capsys.readouterr().err
 
+    def test_negative_midae_step_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "midae.cfg"
+        path.write_text(GOOD_CONFIG.replace("policy = sdae", "policy = midae") + "midae.delta_init = -1\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "midae.delta_init" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", ""]) == 2
+        assert "midae.delta_init" in capsys.readouterr().err
+
 
 class TestReplay:
     def test_replay_matches_run(self, config_path, tmp_path, capsys):

@@ -1,7 +1,10 @@
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import adaptdae.harness as harness
 import adaptdae.midae as midae
@@ -15,12 +18,14 @@ from adaptdae.config import (
 from adaptdae.controller import ControllerConfig
 from adaptdae.harness import (
     NumericalBreakdown,
+    TraceRecord,
     eval_global,
     prepare_data,
     read_trace,
     replay_summary,
     run_experiment,
     summarize,
+    write_trace,
 )
 from adaptdae.network import init_network
 from adaptdae.stream import StreamSpec
@@ -316,6 +321,22 @@ class TestEvaluationOrdering:
         assert check_eval_precedes_training([("eval", 4), ("train", 4)])
 
 
+def trace_records():
+    """Random trace rows, one strategy per ``TraceRecord`` field: every float
+    column takes -0.0 and infinities, every optional one also None."""
+    floats = st.sampled_from([-0.0, math.inf, -math.inf]) | st.floats(allow_nan=False)
+    columns = {
+        "batch": st.integers(0, 10**6),
+        "action": st.sampled_from(["", "pool", "increment", "merge", "event"]),
+        "delta": st.integers(-500, 500),
+        "widths": st.lists(st.integers(1, 1000), min_size=1, max_size=4).map(tuple),
+    }
+    for f in fields(TraceRecord):
+        if f.name not in columns:
+            columns[f.name] = st.none() | floats if "None" in f.type else floats
+    return st.builds(TraceRecord, **columns)
+
+
 class TestSummaryAndReplay:
     def test_replay_matches_in_run_summary(self, tmp_path):
         cfg = with_pool(tiny_config(policy="radae", seed=2, batches=15))
@@ -341,6 +362,17 @@ class TestSummaryAndReplay:
             assert (a.e_lcl is None) == (b.e_lcl is None)
             if a.e_lcl is not None:
                 assert a.e_lcl == b.e_lcl
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=st.lists(trace_records(), max_size=12))
+    def test_trace_round_trip_is_exact(self, tmp_path, records):
+        path = tmp_path / "trace.csv"
+        write_trace(str(path), records)
+        written = path.read_bytes()
+        loaded = read_trace(str(path))
+        assert loaded == records
+        write_trace(str(path), loaded)
+        assert path.read_bytes() == written
 
     def test_summary_window(self):
         cfg = with_pool(tiny_config(policy="sdae", batches=8))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adaptdae import midae
+from adaptdae.config import MiDaeConfig
 from adaptdae.midae import MiDaeState, merge_inc_step, update_rule
 from adaptdae.network import finetune, forward
 from adaptdae.pools import PoolSet
@@ -103,6 +104,12 @@ class TestMergeIncStep:
             assert pools.hard_count() <= threshold
         assert len(peaks) == 80
         assert threshold < max(peaks) <= threshold + batch_size - 1
+        # equal losses: none lies above the rest, though the rounded mean of
+        # each of these batches falls below its common value
+        for size, loss in ((3, 0.7), (6, 0.1), (15, 0.7)):
+            pools.clear_hard()
+            update_hard(pools, make_batch(rng, size, 5, 3, seq_id=80), np.full(size, loss))
+            assert pools.hard_count() == 0, (size, loss)
 
     def test_infinite_threshold_equals_plain_finetuning(self):
         init = np.random.default_rng(7)
@@ -154,11 +161,11 @@ class TestSharedForward:
         assert events >= 2, "expected structural events"
 
 
-class TestStateValidation:
+class TestConfigValidation:
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError):
-            MiDaeState(improve_eps=0.001, converge_eps=0.01)
+            MiDaeConfig(improve_eps=0.001, converge_eps=0.01).validate()
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
-            MiDaeState(delta_nodes=-1)
+            MiDaeConfig(delta_init=-1).validate()

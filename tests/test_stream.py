@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptdae.stream import (
     StreamSpec,
@@ -81,6 +83,17 @@ class TestLargestRemainder:
             got = largest_remainder_counts(ratios, total)
             assert got.sum() == total
             assert list(got) == remainder_oracle(list(ratios), total)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(lambda r: sum(r) > 0),
+        total=st.integers(0, 10_000),
+    )
+    def test_counts_sum_to_total_within_one_of_the_ratio(self, raw, total):
+        ratios = np.asarray(raw) / np.sum(raw)
+        counts = largest_remainder_counts(ratios, total)
+        assert counts.sum() == total
+        assert np.all(np.abs(counts - ratios * total) <= 1)
 
     def test_uniform_four_class_batch(self):
         counts = largest_remainder_counts(np.full(4, 0.25), 1000)
