@@ -65,6 +65,8 @@ class ControllerConfig:
             raise ValueError("ema alpha must be in (0, 1]")
         if self.delta_scale is not None and self.delta_scale < 0:
             raise ValueError("delta_scale must be non-negative")
+        if not (math.isfinite(self.gp_noise) and self.gp_noise >= 0):
+            raise ValueError("gp_noise must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,10 @@
 Small and deliberately plain: Cholesky factorisation of the jittered Gram
 matrix, zero prior mean over mean-centred targets, and hyperparameter
 selection by scanning a log-spaced grid for the best marginal likelihood.
+The scan computes the pairwise distances once and one ``exp`` per length
+scale, and every fit calls LAPACK ``potrf``/``potrs`` directly: the same
+routines, and the same bits, as scipy's ``cholesky`` and ``cho_solve``
+without their argument checks.  Finiteness is checked here instead.
 Fitted models are immutable; predictions are safe to share.
 """
 
@@ -31,13 +35,29 @@ def se_kernel(x: np.ndarray, x2: np.ndarray, sigma_f: float, length_scale: float
     return sigma_f**2 * math.exp(-sq / (2.0 * length_scale**2))
 
 
+def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of two point sets, clipped at 0."""
+    sq = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * (A @ B.T)
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def _decay(sq: np.ndarray, length_scale: float) -> np.ndarray:
+    return np.exp(-sq / (2.0 * length_scale**2))
+
+
 def kernel_matrix(A: np.ndarray, B: np.ndarray, sigma_f: float, length_scale: float) -> np.ndarray:
     """Gram matrix between two point sets, rows are points."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    sq = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * (A @ B.T)
-    np.maximum(sq, 0.0, out=sq)
-    return sigma_f**2 * np.exp(-sq / (2.0 * length_scale**2))
+    return sigma_f**2 * _decay(_sq_dists(A, B), length_scale)
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    # LAPACK does not check: a NaN would come back as a NaN factor, not an error
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    return a
 
 
 @dataclass(frozen=True)
@@ -55,20 +75,48 @@ class GprModel:
 
 
 def _factorise(K: np.ndarray, noise_var: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``K + (noise_var + jitter) I`` for the least
+    jitter that factorises.  Overwrites the diagonal of ``K``."""
     # scipy is imported on first use: runs that never fit a GP skip its cost
-    from scipy.linalg import cholesky
+    from scipy.linalg.lapack import dpotrf
 
-    n = K.shape[0]
-    base = K + noise_var * np.eye(n)
-    last_err = None
+    diag = _finite(K.diagonal() + noise_var, "the noisy Gram diagonal")
     for jitter in JITTERS:
-        try:
-            return cholesky(base + jitter * np.eye(n), lower=True), jitter
-        except np.linalg.LinAlgError as err:
-            last_err = err
+        np.fill_diagonal(K, diag + jitter)
+        L, info = dpotrf(K, lower=1, clean=1)
+        if info == 0:
+            return L, jitter
     raise np.linalg.LinAlgError(
-        f"Gram matrix stayed non positive definite after jitter escalation: {last_err}"
+        "Gram matrix stayed non positive definite after jitter escalation: "
+        f"{info}-th leading minor of the array is not positive definite"
     )
+
+
+def _observations(inputs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Inputs, targets, mean-centred targets and their mean, checked once per call."""
+    X = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    y = np.asarray(targets, dtype=np.float64).ravel()
+    if X.shape[0] != y.shape[0]:
+        raise ValueError("inputs and targets disagree on count")
+    if X.shape[0] == 0:
+        raise ValueError("need at least one observation")
+    mean = float(y.mean())
+    return X, y, _finite(y - mean, "targets"), mean
+
+
+def _solve(K: np.ndarray, yc: np.ndarray, noise_var: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Factor, weights, jitter and log marginal likelihood for one finite
+    Gram matrix (GPML Algorithm 2.1).  Overwrites the diagonal of ``K``."""
+    from scipy.linalg.lapack import dpotrs
+
+    L, jitter = _factorise(K, noise_var)
+    alpha, _ = dpotrs(L, yc, lower=1)
+    lml = (
+        -0.5 * float(yc @ alpha)
+        - float(np.sum(np.log(np.diag(L))))
+        - 0.5 * yc.shape[0] * math.log(2.0 * math.pi)
+    )
+    return L, alpha, jitter, lml
 
 
 def fit(
@@ -79,24 +127,9 @@ def fit(
     noise_var: float = 0.0,
 ) -> GprModel:
     """Factorise the training covariance and solve for the weight vector."""
-    from scipy.linalg import cho_solve
-
-    X = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    y = np.asarray(targets, dtype=np.float64).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("inputs and targets disagree on count")
-    if X.shape[0] == 0:
-        raise ValueError("need at least one observation")
-    mean = float(y.mean())
-    yc = y - mean
-    K = kernel_matrix(X, X, sigma_f, length_scale)
-    L, jitter = _factorise(K, noise_var)
-    alpha = cho_solve((L, True), yc)
-    lml = (
-        -0.5 * float(yc @ alpha)
-        - float(np.sum(np.log(np.diag(L))))
-        - 0.5 * X.shape[0] * math.log(2.0 * math.pi)
-    )
+    X, y, yc, mean = _observations(inputs, targets)
+    K = _finite(kernel_matrix(X, X, sigma_f, length_scale), "the Gram matrix")
+    L, alpha, jitter, lml = _solve(K, yc, noise_var)
     return GprModel(
         train_inputs=X,
         train_targets=y,
@@ -142,16 +175,20 @@ def optimize_hyperparams(
     The initial setting is always a candidate, so the winner is never worse
     than it.
     """
-    X = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    y = np.asarray(targets, dtype=np.float64).ravel()
+    X, _, yc, _ = _observations(inputs, targets)
     if X.shape[0] < 2:
         raise ValueError("hyperparameter search needs at least two observations")
     candidates = [initial] + [(float(s), float(l)) for s in SIGMA_GRID for l in LENGTH_GRID]
+    # what the candidates share: the distances, and one exp per length scale
+    sq = _sq_dists(X, X)
+    decays = {}
     best = None
     best_lml = -np.inf
     for sigma_f, length_scale in candidates:
+        if length_scale not in decays:
+            decays[length_scale] = _finite(_decay(sq, length_scale), "the Gram matrix")
         try:
-            lml = log_marginal_likelihood(X, y, sigma_f, length_scale, noise_var)
+            lml = _solve(sigma_f**2 * decays[length_scale], yc, noise_var)[3]
         except np.linalg.LinAlgError:
             continue
         if lml > best_lml:

@@ -321,10 +321,16 @@ def read_trace(path: str) -> list[TraceRecord]:
         if header is None or tuple(header) != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected trace header")
         records = []
-        for row in reader:
+        for i, row in enumerate(reader, start=1):
             if len(row) != len(CSV_COLUMNS):
                 raise ValueError(f"{path}: malformed row {row!r}")
-            records.append(TraceRecord(**{c: _PARSERS.get(c, _parse_float)(v) for c, v in zip(CSV_COLUMNS, row)}))
+            cells = {}
+            for c, v in zip(CSV_COLUMNS, row):
+                try:
+                    cells[c] = _PARSERS.get(c, _parse_float)(v)
+                except ValueError:
+                    raise ValueError(f"{path}: row {i}, column {c}: {v!r}") from None
+            records.append(TraceRecord(**cells))
     return records
 
 

@@ -78,7 +78,14 @@ def run_traced_child(tmp_path, config_text: str) -> dict:
 
 def test_traced_child_reaches_the_controller_and_gp_spans(tmp_path):
     layers = run_traced_child(tmp_path, TINY_RADAE)["layers"]
-    for name in ("controller.decide", "controller.compute_state", "controller.refit", "gp.predict_mean"):
+    for name in (
+        "controller.decide",
+        "controller.compute_state",
+        "controller.refit",
+        "gp.optimize_hyperparams",
+        "gp.fit",
+        "gp.predict_mean",
+    ):
         assert layers.get(name, {}).get("calls", 0) > 0, name
 
 

@@ -123,6 +123,15 @@ class TestValidate:
         assert main(["run", "--config", str(path), "--out", ""]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    def test_meaningless_gp_noise_exits_2(self, tmp_path, capsys, noise):
+        path = tmp_path / "radae.cfg"
+        path.write_text(GOOD_CONFIG.replace("policy = sdae", "policy = radae") + f"rl.gp_noise = {noise}\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "gp_noise" in capsys.readouterr().err
+        assert main(["run", "--config", str(path), "--out", ""]) == 2
+        assert "gp_noise" in capsys.readouterr().err
+
     def test_negative_midae_step_exits_2(self, tmp_path, capsys):
         path = tmp_path / "midae.cfg"
         path.write_text(GOOD_CONFIG.replace("policy = sdae", "policy = midae") + "midae.delta_init = -1\n")
@@ -152,6 +161,18 @@ class TestReplay:
             main(["replay", out, "--last", last])
         assert err.value.code == 2
         assert "--last" in capsys.readouterr().err
+
+    def test_bad_cell_names_file_row_and_column(self, config_path, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        lines[3] = "one" + lines[3][lines[3].index(","):]
+        out.write_text("\n".join(lines) + "\n")
+        assert main(["replay", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ValueError: ")
+        assert f"{out}: row 3, column batch: 'one'" in err
 
     def test_missing_trace_exits_nonzero(self, tmp_path):
         code = main(["replay", str(tmp_path / "nope.csv")])

@@ -5,8 +5,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky
 
 from adaptdae.gp import (
+    JITTERS,
+    LENGTH_GRID,
+    SIGMA_GRID,
     fit,
     kernel_matrix,
     log_marginal_likelihood,
@@ -34,6 +40,125 @@ def dense_lml(X, y, sigma_f, length_scale, noise_var, jitter):
     sign, logdet = np.linalg.slogdet(K)
     assert sign > 0
     return float(-0.5 * yc @ np.linalg.inv(K) @ yc - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi))
+
+
+def reference_fit(X, y, sigma_f, length_scale, noise_var):
+    """Every candidate fitted from scratch through scipy's checked wrappers:
+    the bit-exact reference for ``fit``.  Returns the factor, the weights,
+    the jitter and the log marginal likelihood."""
+    sq = np.sum(X**2, axis=1)[:, None] + np.sum(X**2, axis=1)[None, :] - 2.0 * (X @ X.T)
+    np.maximum(sq, 0.0, out=sq)
+    K = sigma_f**2 * np.exp(-sq / (2.0 * length_scale**2))
+    n = X.shape[0]
+    base = K + noise_var * np.eye(n)
+    for jitter in JITTERS:
+        try:
+            L = cholesky(base + jitter * np.eye(n), lower=True)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
+        raise np.linalg.LinAlgError("no jitter factorised")
+    yc = y - float(y.mean())
+    alpha = cho_solve((L, True), yc)
+    lml = -0.5 * float(yc @ alpha) - float(np.sum(np.log(np.diag(L)))) - 0.5 * n * math.log(2.0 * math.pi)
+    return L, alpha, jitter, lml
+
+
+def candidates(initial):
+    return [initial] + [(float(s), float(l)) for s in SIGMA_GRID for l in LENGTH_GRID]
+
+
+def reference_search(X, y, noise_var, initial):
+    """The 50-candidate scan with one reference fit per candidate."""
+    best, best_lml = None, -np.inf
+    for sigma_f, length_scale in candidates(initial):
+        try:
+            lml = reference_fit(X, y, sigma_f, length_scale, noise_var)[3]
+        except np.linalg.LinAlgError:
+            continue
+        if lml > best_lml:
+            best, best_lml = (sigma_f, length_scale), lml
+    return best
+
+
+@st.composite
+def gp_problems(draw):
+    """Random observations, some with repeated rows, and a noise level."""
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(scale=draw(st.sampled_from([0.01, 1.0, 3.0])), size=(n, d))
+    repeats = draw(st.integers(0, n - 1))
+    if repeats:
+        X[rng.choice(n, repeats, replace=False)] = X[rng.integers(0, n, repeats)]
+    y = rng.normal(size=n)
+    noise_var = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    initial = draw(st.one_of(st.just((1.0, 1.0)), st.tuples(st.floats(0.1, 10.0), st.floats(0.05, 5.0))))
+    return X, y, noise_var, initial
+
+
+class TestReferenceEquality:
+    @settings(max_examples=80, deadline=None)
+    @given(problem=gp_problems(), sigma_f=st.floats(0.1, 10.0), length_scale=st.floats(0.05, 5.0))
+    def test_fit_equals_the_reference_bit_for_bit(self, problem, sigma_f, length_scale):
+        X, y, noise_var, _ = problem
+        try:
+            expected = reference_fit(X, y, sigma_f, length_scale, noise_var)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                fit(X, y, sigma_f, length_scale, noise_var)
+            return
+        model = fit(X, y, sigma_f, length_scale, noise_var)
+        L, alpha, jitter, lml = expected
+        assert model.chol_factor.tobytes() == L.tobytes()
+        assert model.alpha_vec.tobytes() == alpha.tobytes()
+        assert (model.jitter, model.log_marginal) == (jitter, lml)
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=gp_problems())
+    def test_search_picks_the_reference_winner(self, problem):
+        X, y, noise_var, initial = problem
+        if X.shape[0] < 2:
+            return
+        best = optimize_hyperparams(X, y, noise_var, initial)
+        assert best == reference_search(X, y, noise_var, initial)
+        lmls = []
+        for sigma_f, length_scale in candidates(initial):
+            try:
+                lmls.append(log_marginal_likelihood(X, y, sigma_f, length_scale, noise_var))
+            except np.linalg.LinAlgError:
+                lmls.append(-np.inf)
+        assert best == candidates(initial)[int(np.argmax(lmls))]
+
+
+class TestNonFinite:
+    X = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, -1.0]])
+    y = np.array([0.3, -0.2, 0.8])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["inputs", "targets", "noise_var"])
+    def test_raises_value_error(self, where, bad):
+        X, y, noise_var = self.X.copy(), self.y.copy(), 0.01
+        if where == "inputs":
+            X[1, 0] = bad
+        elif where == "targets":
+            y[2] = bad
+        else:
+            noise_var = bad
+        # inf - inf warns on the way to the check, as it did through scipy's
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError):
+                fit(X, y, 1.0, 1.0, noise_var)
+            with pytest.raises(ValueError):
+                optimize_hyperparams(X, y, noise_var)
+
+    def test_negative_noise_fails_every_candidate(self):
+        # below -sigma_f**2 for every grid sigma, so no jitter can rescue it
+        with pytest.raises(np.linalg.LinAlgError):
+            fit(self.X, self.y, 1.0, 1.0, -1e3)
+        with pytest.raises(np.linalg.LinAlgError):
+            optimize_hyperparams(self.X, self.y, -1e3)
 
 
 class TestKernel:
