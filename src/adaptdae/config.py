@@ -7,6 +7,7 @@ number they came from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .controller import ControllerConfig
@@ -29,6 +30,19 @@ class NetConfig:
     hybrid_weight: float = 0.2
     pretrain_batches: int = 0
     pretrain_epochs: int = 1
+
+    def validate(self) -> None:
+        if any(w < 1 for w in self.widths):
+            raise ValueError("nn.widths must all be positive")
+        if not 0.0 <= self.corruption <= 1.0:
+            raise ValueError("nn.corruption must be a probability")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("nn.learning_rate must be finite and positive")
+        if not (math.isfinite(self.hybrid_weight) and self.hybrid_weight >= 0):
+            raise ValueError("nn.hybrid_weight must be finite and non-negative")
+        for key in ("pretrain_batches", "pretrain_epochs"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"nn.{key} must be non-negative")
 
 
 @dataclass
@@ -208,15 +222,13 @@ def validate_experiment(cfg: ExperimentConfig) -> list[str]:
         cfg.stream.validate()
     except ValueError as err:
         problems.append(str(err))
-    if any(w < 1 for w in cfg.nn.widths):
-        problems.append("nn.widths must all be positive")
-    if not 0.0 <= cfg.nn.corruption <= 1.0:
-        problems.append("nn.corruption must be a probability")
+    if cfg.nn.pretrain_batches > cfg.stream.batches:
+        problems.append("nn.pretrain_batches must not exceed stream.batches")
     if cfg.pool.capacity < cfg.stream.batch_size:
         problems.append("pool.capacity must hold at least one batch")
     if not 0.0 <= cfg.pool.distance_threshold <= 1.0:
         problems.append("pool.distance_threshold must be in [0, 1]")
-    for section in (cfg.rl, cfg.midae):
+    for section in (cfg.nn, cfg.rl, cfg.midae):
         try:
             section.validate()
         except ValueError as err:

@@ -23,18 +23,6 @@ SIGMA_GRID = np.geomspace(0.1, 10.0, 7)
 LENGTH_GRID = np.geomspace(0.05, 5.0, 7)
 
 
-def se_kernel(x: np.ndarray, x2: np.ndarray, sigma_f: float, length_scale: float) -> float:
-    """Squared exponential covariance between two points."""
-    if length_scale <= 0:
-        raise ValueError("length_scale must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
-    if x.shape != x2.shape:
-        raise ValueError("points must share a dimensionality")
-    sq = float(np.sum((x - x2) ** 2))
-    return sigma_f**2 * math.exp(-sq / (2.0 * length_scale**2))
-
-
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of two point sets, clipped at 0."""
     sq = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * (A @ B.T)

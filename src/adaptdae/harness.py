@@ -3,9 +3,11 @@
 One run is one sequential pass over the batch stream.  Each batch is
 evaluated before anything trains on it, so the local error for batch n is
 the classification error on batch n+1 measured strictly pre-training.  The
-global error is measured on a class-balanced held-out split after every
-batch.  Runs with the same seed share the stream and the initial network
-across policies.
+one exception is the first ``nn.pretrain_batches`` batches: the network is
+pre-trained, unsupervised, on their inputs before batch 0, so they are
+evaluated after that.  The global error is measured on a class-balanced
+held-out split after every batch.  Runs with the same seed share the
+stream and the initial network across policies.
 """
 
 from __future__ import annotations

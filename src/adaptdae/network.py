@@ -57,24 +57,6 @@ def cross_entropy(target: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     return -np.sum(t * np.log(q) + (1.0 - t) * np.log1p(-q), axis=-1)
 
 
-def generative_loss(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Reconstruction error of a single example."""
-    x = np.asarray(x)
-    x_hat = np.asarray(x_hat)
-    if x.shape != x_hat.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {x_hat.shape}")
-    return float(cross_entropy(x, x_hat))
-
-
-def discriminative_loss(y: np.ndarray, y_hat: np.ndarray) -> float:
-    """Label error of a single example against predicted class probabilities."""
-    y = np.asarray(y)
-    y_hat = np.asarray(y_hat)
-    if y.shape != y_hat.shape:
-        raise ValueError(f"shape mismatch: {y.shape} vs {y_hat.shape}")
-    return float(cross_entropy(y, y_hat))
-
-
 @dataclass
 class Layer:
     """One tied-weight autoencoder layer.
@@ -161,9 +143,6 @@ class DataBatch:
 
     def class_histogram(self) -> np.ndarray:
         return self.labels.mean(axis=0)
-
-    def label_indices(self) -> np.ndarray:
-        return np.argmax(self.labels, axis=1)
 
     def validate(self) -> None:
         if self.seq_id < 0:

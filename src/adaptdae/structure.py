@@ -7,15 +7,8 @@ from enum import Enum
 
 import numpy as np
 
-from .network import (
-    DataBatch,
-    Network,
-    corrupt,
-    dae_gradients,
-    finetune,
-    glorot_limit,
-    network_gradients,
-)
+from .network import DataBatch, Layer, Network, NetworkGrads, corrupt, dae_gradients, glorot_limit
+from .network import finetune, network_gradients  # module attributes here: the benchmark wraps them
 
 
 class ActionKind(str, Enum):
@@ -24,9 +17,16 @@ class ActionKind(str, Enum):
     MERGE = "merge"
 
 
-def _downstream(net: Network) -> np.ndarray:
-    # the weight matrix whose columns are indexed by first-layer nodes
-    return net.layers[1].W if len(net.layers) > 1 else net.out_W
+def _downstream(net: Network, new: np.ndarray | None = None, grads: NetworkGrads | None = None) -> np.ndarray:
+    # the matrix whose columns index first-layer nodes: layers[1].W, or the
+    # read-out out_W of a one-layer net; ``new`` replaces it, ``grads`` reads its gradient
+    if len(net.layers) > 1:
+        owner, attr = (net.layers[1], "W") if grads is None else (grads.layers[1], "dW")
+    else:
+        owner, attr = (net if grads is None else grads), "out_W"
+    if new is not None:
+        setattr(owner, attr, new)
+    return getattr(owner, attr)
 
 
 def increment_nodes(
@@ -50,14 +50,11 @@ def increment_nodes(
     limit = glorot_limit(layer.n_input, old_h + count)
     layer.W = np.vstack([layer.W, rng.uniform(-limit, limit, (count, layer.n_input))])
     layer.b = np.concatenate([layer.b, np.zeros(count)])
+    down = _downstream(net)
+    limit = glorot_limit(old_h + count, down.shape[0])
+    _downstream(net, np.hstack([down, rng.uniform(-limit, limit, (down.shape[0], count))]))
     if len(net.layers) > 1:
-        nxt = net.layers[1]
-        lim = glorot_limit(old_h + count, nxt.n_hidden)
-        nxt.W = np.hstack([nxt.W, rng.uniform(-lim, lim, (nxt.n_hidden, count))])
-        nxt.b_rec = np.concatenate([nxt.b_rec, np.zeros(count)])
-    else:
-        lim = glorot_limit(old_h + count, net.n_classes)
-        net.out_W = np.hstack([net.out_W, rng.uniform(-lim, lim, (net.n_classes, count))])
+        net.layers[1].b_rec = np.concatenate([net.layers[1].b_rec, np.zeros(count)])
     _train_new_rows(net, old_h, recent_batches, rng)
     _train_new_columns(net, old_h, recent_batches)
     net.check()
@@ -68,8 +65,6 @@ def _train_new_rows(net: Network, old_h: int, batches: list[DataBatch], rng: np.
     # one reconstruction epoch over the pool, restricted to the new sub-layer;
     # b_rec stays frozen because it is shared with the old nodes
     layer = net.layers[0]
-    from .network import Layer
-
     view = Layer(W=layer.W[old_h:], b=layer.b[old_h:], b_rec=layer.b_rec)
     lr = net.learning_rate
     for batch in batches:
@@ -82,20 +77,18 @@ def _train_new_rows(net: Network, old_h: int, batches: list[DataBatch], rng: np.
 
 def _train_new_columns(net: Network, old_h: int, batches: list[DataBatch]) -> None:
     # one supervised pass moving only the columns fed by the new nodes
-    lr = net.learning_rate
+    down = _downstream(net)
     for batch in batches:
         grads, _, _ = network_gradients(net, batch, hybrid_weight=0.0)
-        if len(net.layers) > 1:
-            net.layers[1].W[:, old_h:] -= lr * grads.layers[1].dW[:, old_h:]
-        else:
-            net.out_W[:, old_h:] -= lr * grads.out_W[:, old_h:]
+        down[:, old_h:] -= net.learning_rate * _downstream(net, grads=grads)[:, old_h:]
 
 
 def closest_pairs(W: np.ndarray, count: int) -> list[tuple[int, int]]:
     """Greedy pairing of rows by cosine distance, each row used at most once.
 
     Repeatedly takes the globally closest unused pair; ties go to the
-    lexicographically smallest index pair.
+    lexicographically smallest index pair, and every pair is ``(i, j)``
+    with ``i < j``.
     """
     n = W.shape[0]
     norms = np.maximum(np.linalg.norm(W, axis=1), 1e-300)
@@ -113,6 +106,13 @@ def closest_pairs(W: np.ndarray, count: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _average_into(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # entries lo become the means of entries lo and hi, and entries hi go
+    a = a.copy()
+    a[lo] = 0.5 * (a[lo] + a[hi])
+    return np.delete(a, hi, axis=0)
+
+
 def merge_nodes(net: Network, count: int) -> Network:
     """Fuse the ``count`` closest node pairs of the first hidden layer.
 
@@ -120,47 +120,21 @@ def merge_nodes(net: Network, count: int) -> Network:
     downstream columns are summed so that merging two identical nodes leaves
     the network function unchanged.
     """
-    if count == 0:
+    if count <= 0:
         return net
     layer = net.layers[0]
-    h = layer.n_hidden
-    if h < 2 * count:
-        raise ValueError(f"cannot merge {count} pairs out of {h} nodes")
-    pairs = closest_pairs(layer.W, count)
-    partner = {}
-    drop = set()
-    for i, j in pairs:
-        lo, hi = (i, j) if i < j else (j, i)
-        partner[lo] = hi
-        drop.add(hi)
-
-    down = _downstream(net)
-    keep = [k for k in range(h) if k not in drop]
-    new_rows, new_b, new_cols, new_brec = [], [], [], []
-    has_next = len(net.layers) > 1
-    for k in keep:
-        if k in partner:
-            other = partner[k]
-            new_rows.append(0.5 * (layer.W[k] + layer.W[other]))
-            new_b.append(0.5 * (layer.b[k] + layer.b[other]))
-            new_cols.append(down[:, k] + down[:, other])
-            if has_next:
-                new_brec.append(0.5 * (net.layers[1].b_rec[k] + net.layers[1].b_rec[other]))
-        else:
-            new_rows.append(layer.W[k])
-            new_b.append(layer.b[k])
-            new_cols.append(down[:, k])
-            if has_next:
-                new_brec.append(net.layers[1].b_rec[k])
-
-    layer.W = np.vstack(new_rows)
-    layer.b = np.asarray(new_b)
-    new_down = np.column_stack(new_cols)
-    if has_next:
-        net.layers[1].W = new_down
-        net.layers[1].b_rec = np.asarray(new_brec)
-    else:
-        net.out_W = new_down
+    if layer.n_hidden < 2 * count:
+        raise ValueError(f"cannot merge {count} pairs out of {layer.n_hidden} nodes")
+    lo, hi = np.array(closest_pairs(layer.W, count)).T
+    layer.W = _average_into(layer.W, lo, hi)
+    layer.b = _average_into(layer.b, lo, hi)
+    down = _downstream(net).copy()
+    down[:, lo] += down[:, hi]
+    # np.delete along columns returns a Fortran-ordered copy; matmuls on it
+    # could round differently from the C-ordered matrix every other path keeps
+    _downstream(net, np.ascontiguousarray(np.delete(down, hi, axis=1)))
+    if len(net.layers) > 1:
+        net.layers[1].b_rec = _average_into(net.layers[1].b_rec, lo, hi)
     net.check()
     return net
 

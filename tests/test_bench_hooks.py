@@ -52,6 +52,7 @@ SPANS = {
         "pools.update_hard",
         "structure.increment_nodes",
         "structure.merge_nodes",
+        "structure.closest_pairs",
         "network.finetune",
         "harness.write_trace",
     ),
@@ -85,6 +86,10 @@ def test_traced_child_reaches_the_controller_and_gp_spans(tmp_path):
         "gp.optimize_hyperparams",
         "gp.fit",
         "gp.predict_mean",
+        # the tiny radae run merges but never increments
+        "structure.merge_nodes",
+        "structure.closest_pairs",
+        "structure.pool_finetune",
     ):
         assert layers.get(name, {}).get("calls", 0) > 0, name
 

@@ -132,6 +132,29 @@ class TestValidate:
         assert main(["run", "--config", str(path), "--out", ""]) == 2
         assert "gp_noise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "nn.learning_rate = nan",
+            "nn.learning_rate = -0.1",
+            "nn.learning_rate = 0",
+            "nn.hybrid_weight = inf",
+            "nn.hybrid_weight = -0.5",
+            "nn.pretrain_batches = -1",
+            "nn.pretrain_epochs = -1",
+            "nn.pretrain_batches = 500",
+        ],
+    )
+    def test_meaningless_network_settings_exit_2(self, config_path, capsys, line):
+        # each used to pass validation and then fail, train wrongly or be ignored
+        with open(config_path, "a") as f:
+            f.write(line + "\n")
+        key = line.split()[0]
+        assert main(["validate", "--config", config_path]) == 2
+        assert key in capsys.readouterr().err
+        assert main(["run", "--config", config_path, "--out", ""]) == 2
+        assert key in capsys.readouterr().err
+
     def test_negative_midae_step_exits_2(self, tmp_path, capsys):
         path = tmp_path / "midae.cfg"
         path.write_text(GOOD_CONFIG.replace("policy = sdae", "policy = midae") + "midae.delta_init = -1\n")

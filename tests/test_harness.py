@@ -196,6 +196,21 @@ class TestRunExperiment:
             assert ra.l_cls == rb.l_cls
             assert ra.e_glb == rb.e_glb
 
+    @pytest.mark.parametrize("policy", ["sdae", "midae", "radae"])
+    def test_pretraining_is_deterministic_and_takes_effect(self, policy):
+        def run(pretrain_batches):
+            cfg = with_pool(tiny_config(policy=policy, seed=4, batches=15), capacity=60)
+            cfg.midae.pool_threshold = 30
+            cfg.nn.pretrain_batches = pretrain_batches
+            return comparable(run_experiment(cfg).records)
+
+        warm = run(3)
+        assert warm == run(3)
+        cold = run(0)
+        # the warm batches are evaluated after pre-training on their inputs
+        assert warm[0].l_gen != cold[0].l_gen
+        assert [r.e_glb for r in warm] != [r.e_glb for r in cold]
+
     def test_invalid_config_rejected(self):
         cfg = with_pool(tiny_config())
         cfg.policy = "nonsense"

@@ -9,14 +9,13 @@ from adaptdae.network import (
     Layer,
     batch_errors,
     corrupt,
+    cross_entropy,
     dae_gradients,
     dae_loss,
     decode,
-    discriminative_loss,
     encode,
     finetune,
     forward,
-    generative_loss,
     mean_discriminative_loss,
     network_gradients,
     network_loss,
@@ -154,27 +153,29 @@ class TestEncodeDecode:
 
 
 class TestLosses:
+    """``cross_entropy`` scores reconstructions and labels alike."""
+
     def test_generative_closed_form(self):
         x = np.array([0.5, 0.5])
-        assert generative_loss(x, x) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+        assert cross_entropy(x, x) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_generative_perfect_limit(self):
-        assert generative_loss(np.array([1.0]), np.array([1.0 - 1e-9])) < 1e-6
+        assert cross_entropy(np.array([1.0]), np.array([1.0 - 1e-9])) < 1e-6
 
     def test_generative_minimum_by_grid(self):
         # 1-D brute force: the loss over candidate reconstructions bottoms out at x
         x = np.array([0.3])
         grid = np.linspace(0.001, 0.999, 999)
-        losses = [generative_loss(x, np.array([q])) for q in grid]
+        losses = cross_entropy(x, grid[:, None])
         assert grid[int(np.argmin(losses))] == pytest.approx(0.3, abs=1e-3)
 
     def test_discriminative_closed_form(self):
         y = np.array([1.0, 0.0])
-        assert discriminative_loss(y, np.array([0.5, 0.5])) == pytest.approx(2.0 * math.log(2.0))
+        assert cross_entropy(y, np.array([0.5, 0.5])) == pytest.approx(2.0 * math.log(2.0))
 
     def test_discriminative_perfect(self):
         y = np.array([0.0, 1.0])
-        assert discriminative_loss(y, np.array([1e-9, 1.0 - 1e-9])) < 1e-5
+        assert cross_entropy(y, np.array([1e-9, 1.0 - 1e-9])) < 1e-5
 
     def test_discriminative_uniform_three_class(self):
         # independent scalar oracle for y=(0,1,0), y_hat uniform
@@ -184,17 +185,17 @@ class TestLosses:
             yi * math.log(qi) + (1 - yi) * math.log(1 - qi) for yi, qi in zip(y, q)
         )
         assert expected == pytest.approx(math.log(3.0) + 2.0 * math.log(1.5), abs=1e-12)
-        assert discriminative_loss(np.array(y), np.array(q)) == pytest.approx(expected, abs=1e-12)
+        assert cross_entropy(np.array(y), np.array(q)) == pytest.approx(expected, abs=1e-12)
 
     def test_length_mismatch(self):
+        # lengths that do not broadcast are an error, not a silent truncation
         with pytest.raises(ValueError):
-            discriminative_loss(np.array([1.0, 0.0]), np.array([0.2, 0.3, 0.5]))
+            cross_entropy(np.array([1.0, 0.0]), np.array([0.2, 0.3, 0.5]))
 
     def test_positivity(self, rng):
-        for _ in range(200):
-            t = rng.random(5)
-            q = rng.random(5)
-            assert generative_loss(t, q) >= 0.0
+        t = rng.random((200, 5))
+        q = rng.random((200, 5))
+        assert np.all(cross_entropy(t, q) >= 0.0)
 
 
 class TestPredict:

@@ -2,8 +2,10 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adaptdae.network import DataBatch, predict
+from adaptdae.network import DataBatch, Layer, corrupt, dae_gradients, glorot_limit, network_gradients, predict
 from adaptdae.structure import (
     closest_pairs,
     increment_nodes,
@@ -80,6 +82,14 @@ class TestMerge:
         merge_nodes(net, 0)
         assert params_equal(net, before)
 
+    def test_negative_count_is_noop(self, rng):
+        # midae asks for ceil(merge_ratio * added) pairs, which a negative
+        # midae.merge_ratio makes negative
+        net = make_net(rng)
+        before = copy.deepcopy(net)
+        merge_nodes(net, -2)
+        assert params_equal(net, before)
+
     def test_width_shrinks(self, rng):
         net = make_net(rng, dims=6, widths=(6, 4), classes=3)
         merge_nodes(net, 2)
@@ -148,6 +158,118 @@ def _greedy_pairs_oracle(W, count):
         pairs.append(best)
         used.update(best)
     return pairs
+
+
+def reference_increment(net, count, recent_batches, rng):
+    """The node-by-node ``increment_nodes`` the array version replaced."""
+    if count == 0:
+        return net
+    layer = net.layers[0]
+    old_h = layer.n_hidden
+    limit = glorot_limit(layer.n_input, old_h + count)
+    layer.W = np.vstack([layer.W, rng.uniform(-limit, limit, (count, layer.n_input))])
+    layer.b = np.concatenate([layer.b, np.zeros(count)])
+    if len(net.layers) > 1:
+        nxt = net.layers[1]
+        lim = glorot_limit(old_h + count, nxt.n_hidden)
+        nxt.W = np.hstack([nxt.W, rng.uniform(-lim, lim, (nxt.n_hidden, count))])
+        nxt.b_rec = np.concatenate([nxt.b_rec, np.zeros(count)])
+    else:
+        lim = glorot_limit(old_h + count, net.n_classes)
+        net.out_W = np.hstack([net.out_W, rng.uniform(-lim, lim, (net.n_classes, count))])
+    view = Layer(W=layer.W[old_h:], b=layer.b[old_h:], b_rec=layer.b_rec)
+    lr = net.learning_rate
+    for batch in recent_batches:
+        target = np.asarray(batch.inputs, dtype=np.float64)
+        noisy = corrupt(target, net.corruption_p, rng)
+        dW, db, _ = dae_gradients(view, target, noisy)
+        layer.W[old_h:] -= lr * dW
+        layer.b[old_h:] -= lr * db
+    for batch in recent_batches:
+        grads, _, _ = network_gradients(net, batch, hybrid_weight=0.0)
+        if len(net.layers) > 1:
+            net.layers[1].W[:, old_h:] -= lr * grads.layers[1].dW[:, old_h:]
+        else:
+            net.out_W[:, old_h:] -= lr * grads.out_W[:, old_h:]
+    return net
+
+
+def reference_merge(net, count):
+    """The node-by-node ``merge_nodes`` the array version replaced."""
+    if count == 0:
+        return net
+    layer = net.layers[0]
+    h = layer.n_hidden
+    partner = {}
+    drop = set()
+    for i, j in closest_pairs(layer.W, count):
+        lo, hi = (i, j) if i < j else (j, i)
+        partner[lo] = hi
+        drop.add(hi)
+    has_next = len(net.layers) > 1
+    down = net.layers[1].W if has_next else net.out_W
+    new_rows, new_b, new_cols, new_brec = [], [], [], []
+    for k in (k for k in range(h) if k not in drop):
+        other = partner.get(k)
+        if other is not None:
+            new_rows.append(0.5 * (layer.W[k] + layer.W[other]))
+            new_b.append(0.5 * (layer.b[k] + layer.b[other]))
+            new_cols.append(down[:, k] + down[:, other])
+            if has_next:
+                new_brec.append(0.5 * (net.layers[1].b_rec[k] + net.layers[1].b_rec[other]))
+        else:
+            new_rows.append(layer.W[k])
+            new_b.append(layer.b[k])
+            new_cols.append(down[:, k])
+            if has_next:
+                new_brec.append(net.layers[1].b_rec[k])
+    layer.W = np.vstack(new_rows)
+    layer.b = np.asarray(new_b)
+    if has_next:
+        net.layers[1].W = np.column_stack(new_cols)
+        net.layers[1].b_rec = np.asarray(new_brec)
+    else:
+        net.out_W = np.column_stack(new_cols)
+    return net
+
+
+def all_params(net):
+    arrays = [a for layer in net.layers for a in (layer.W, layer.b, layer.b_rec)]
+    return arrays + [net.out_W, net.out_b]
+
+
+class TestAgainstReference:
+    """The array edits give the reference's parameters: same shape, same
+    bytes and the same C-contiguous layout, which matmuls' rounding can
+    depend on."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        widths=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+        first=st.integers(2, 14),
+        dims=st.integers(2, 6),
+        classes=st.integers(2, 4),
+        steps=st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0), st.integers(1, 4)), min_size=1, max_size=5),
+    )
+    def test_edits_match_reference(self, seed, widths, first, dims, classes, steps):
+        rng = np.random.default_rng(seed)
+        net = make_net(rng, dims=dims, widths=[first] + widths[1:], classes=classes)
+        ref = copy.deepcopy(net)
+        pool = [make_batch(rng, 5, dims, classes, seq_id=i) for i in range(2)]
+        for merge, fraction, grow in steps:
+            if merge:
+                count = int(fraction * (net.layers[0].n_hidden // 2))
+                merge_nodes(net, count)
+                reference_merge(ref, count)
+            else:
+                step_seed = int(rng.integers(2**32))
+                increment_nodes(net, grow, pool, np.random.default_rng(step_seed))
+                reference_increment(ref, grow, pool, np.random.default_rng(step_seed))
+            for got, want in zip(all_params(net), all_params(ref), strict=True):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.c_contiguous == want.flags.c_contiguous
 
 
 class TestPoolFinetune:
