@@ -8,9 +8,10 @@ number they came from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .controller import ControllerConfig
+from .midae import MiDaeConfig
 from .stream import StreamSpec
 
 POLICIES = ("sdae", "midae", "radae")
@@ -52,22 +53,6 @@ class PoolConfig:
 
 
 @dataclass
-class MiDaeConfig:
-    delta_init: int = 30
-    grow_step: int = 30
-    merge_ratio: float = 0.2
-    improve_eps: float = 0.01
-    converge_eps: float = 0.001
-    pool_threshold: int | None = None  # defaults to pool.capacity
-
-    def validate(self) -> None:
-        if self.delta_init < 0:
-            raise ValueError("midae.delta_init must be non-negative")
-        if not self.improve_eps > self.converge_eps >= 0:
-            raise ValueError("midae.improve_eps must exceed midae.converge_eps >= 0")
-
-
-@dataclass
 class ExperimentConfig:
     policy: str = "radae"
     seed: int = 0
@@ -104,71 +89,43 @@ def _parse_optional_int(text: str) -> int | None:
     return None if text.lower() in ("none", "") else int(text)
 
 
-# key -> (section attr or None, field name, parser)
-_KEYS = {
-    "policy": (None, "policy", str),
-    "seed": (None, "seed", int),
-    "out": (None, "out", str),
-    "summary_last": (None, "summary_last", int),
-    "test_fraction": (None, "test_fraction", float),
-    "stream.kind": (None, "kind", str),
-    "stream.per_class": (None, "per_class", int),
-    "stream.spread": (None, "spread", float),
-    "stream.images": (None, "images", str),
-    "stream.labels": (None, "labels", str),
-    "stream.classes": ("stream", "classes", int),
-    "stream.dims": ("stream", "dims", int),
-    "stream.batch_size": ("stream", "batch_size", int),
-    "stream.batches": ("stream", "batches", int),
-    "stream.mode": ("stream", "mode", str),
-    "stream.gp_length_scale": ("stream", "gp_length_scale", _parse_optional_float),
-    "stream.mask_noise": ("stream", "mask_noise", float),
-    "stream.switch_at": ("stream", "switch_at", _parse_optional_int),
-    "stream.skew": ("stream", "skew", float),
-    "nn.widths": ("nn", "widths", _parse_widths),
-    "nn.learning_rate": ("nn", "learning_rate", float),
-    "nn.corruption": ("nn", "corruption", float),
-    "nn.hybrid_weight": ("nn", "hybrid_weight", float),
-    "nn.pretrain_batches": ("nn", "pretrain_batches", int),
-    "nn.pretrain_epochs": ("nn", "pretrain_epochs", int),
-    "pool.capacity": ("pool", "capacity", int),
-    "pool.distance_threshold": ("pool", "distance_threshold", float),
-    "rl.ema_window": ("rl", "ema_window", int),
-    "rl.warmup_batches": ("rl", "warmup_batches", int),
-    "rl.greedy_after": ("rl", "greedy_after", int),
-    "rl.discount": ("rl", "discount", float),
-    "rl.q_lr": ("rl", "q_lr", float),
-    "rl.ema_alpha": ("rl", "ema_alpha", _parse_optional_float),
-    "rl.epsilon": ("rl", "epsilon", float),
-    "rl.delta_scale": ("rl", "delta_scale", _parse_optional_float),
-    "rl.size_target": ("rl", "size_target", float),
-    "rl.size_width": ("rl", "size_width", float),
-    "rl.size_low": ("rl", "size_low", float),
-    "rl.size_high": ("rl", "size_high", float),
-    "rl.state_space": ("rl", "state_space", int),
-    "rl.refit_interval": ("rl", "refit_interval", int),
-    "rl.max_observations": ("rl", "max_observations", int),
-    "rl.gp_noise": ("rl", "gp_noise", float),
-    "midae.delta_init": ("midae", "delta_init", int),
-    "midae.grow_step": ("midae", "grow_step", int),
-    "midae.merge_ratio": ("midae", "merge_ratio", float),
-    "midae.improve_eps": ("midae", "improve_eps", float),
-    "midae.converge_eps": ("midae", "converge_eps", float),
-    "midae.pool_threshold": ("midae", "pool_threshold", _parse_optional_int),
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "int | None": _parse_optional_int,
+    "float | None": _parse_optional_float,
+    "tuple[int, ...]": _parse_widths,
 }
+# the source settings are ExperimentConfig fields but read as stream keys
+_SOURCE_FIELDS = ("kind", "per_class", "spread", "images", "labels")
+# runs seed their stream from the master seed, and the short windows are fixed
+_UNSETTABLE = ("stream.seed", "rl.short_windows")
+
+
+def _key_table() -> dict:
+    """key -> (section attr or None, field name, parser), one key per field:
+    a field holding a dataclass is a section and its fields are its keys."""
+    defaults = ExperimentConfig()
+    keys = {}
+    for top in fields(defaults):
+        value = getattr(defaults, top.name)
+        if is_dataclass(value):
+            for f in fields(value):
+                keys[f"{top.name}.{f.name}"] = (top.name, f.name, f.type)
+        else:
+            prefix = "stream." if top.name in _SOURCE_FIELDS else ""
+            keys[prefix + top.name] = (None, top.name, top.type)
+    # the annotations are strings; an unknown one fails here, at import
+    return {k: (s, a, _PARSERS[t]) for k, (s, a, t) in keys.items() if k not in _UNSETTABLE}
+
+
+_KEYS = _key_table()
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text; unknown keys and bad values raise with line numbers."""
     cfg = ExperimentConfig()
-    sections = {
-        "stream": dict(),
-        "nn": dict(),
-        "pool": dict(),
-        "rl": dict(),
-        "midae": dict(),
-    }
-    top: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -185,16 +142,7 @@ def parse_config(text: str) -> ExperimentConfig:
             parsed = parser(value)
         except ValueError as err:
             raise ConfigError(f"bad value for {key}: {err}", lineno)
-        if section is None:
-            top[attr] = parsed
-        else:
-            sections[section][attr] = parsed
-    cfg = replace(cfg, **top)
-    cfg.stream = replace(cfg.stream, **sections["stream"])
-    cfg.nn = replace(cfg.nn, **sections["nn"])
-    cfg.pool = replace(cfg.pool, **sections["pool"])
-    cfg.rl = replace(cfg.rl, **sections["rl"])
-    cfg.midae = replace(cfg.midae, **sections["midae"])
+        setattr(cfg if section is None else getattr(cfg, section), attr, parsed)
     return cfg
 
 

@@ -63,8 +63,12 @@ class ControllerConfig:
                 raise ValueError(f"{key} must be at least 1")
         if not 0.0 < self.alpha() <= 1.0:
             raise ValueError("ema alpha must be in (0, 1]")
-        if self.delta_scale is not None and self.delta_scale < 0:
-            raise ValueError("delta_scale must be non-negative")
+        if self.delta_scale is not None and not 0.0 <= self.delta_scale < math.inf:
+            raise ValueError("delta_scale must be finite and non-negative")
+        if not math.isfinite(self.size_target):
+            raise ValueError("size_target must be finite")
+        if not 0.0 < self.size_width < math.inf:
+            raise ValueError("size_width must be finite and positive")
         if not (math.isfinite(self.gp_noise) and self.gp_noise >= 0):
             raise ValueError("gp_noise must be finite and non-negative")
 

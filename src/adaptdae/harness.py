@@ -176,14 +176,8 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
     if cfg.policy == "radae":
         controller = RlController(cfg.rl, initial_width=cfg.nn.widths[0], rng=ctrl_rng)
     elif cfg.policy == "midae":
-        threshold = cfg.midae.pool_threshold if cfg.midae.pool_threshold is not None else cfg.pool.capacity
         midae_state = MiDaeState(
-            delta_nodes=cfg.midae.delta_init,
-            grow_step=cfg.midae.grow_step,
-            merge_ratio=cfg.midae.merge_ratio,
-            improve_eps=cfg.midae.improve_eps,
-            converge_eps=cfg.midae.converge_eps,
-            pool_threshold=threshold,
+            cfg.midae, cfg.pool.capacity if cfg.midae.pool_threshold is None else cfg.midae.pool_threshold
         )
 
     records: list[TraceRecord] = []
@@ -201,14 +195,14 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
         histograms.append(batch.class_histogram())
         kl = window_kl(histograms)
 
-        update_recent(pools, batch)
-        update_diverse(pools, batch)
-
         action = ""
         delta = 0
         reward = None
         q_values = None
         if cfg.policy == "radae":
+            # only radae reads the recent and diverse pools
+            update_recent(pools, batch)
+            update_diverse(pools, batch)
             controller.observe(l_gen, l_cls, net.layers[0].n_hidden, kl)
             decision = controller.decide(n)
             action = decision.kind.value

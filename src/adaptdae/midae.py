@@ -11,7 +11,7 @@ objective afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,21 +29,41 @@ from .structure import increment_nodes, merge_nodes
 
 
 @dataclass
-class MiDaeState:
-    """Step-size state plus the thresholds steering it.
-
-    The growth step widens when the batch objective is falling fast
-    (relative drop beyond ``improve_eps``) and halves once it has flattened
-    out (relative drop below ``converge_eps``).
-    """
-
-    delta_nodes: int = 30
+class MiDaeConfig:
+    delta_init: int = 30
     grow_step: int = 30
     merge_ratio: float = 0.2
     improve_eps: float = 0.01
     converge_eps: float = 0.001
-    pool_threshold: int = 10000
+    pool_threshold: int | None = None  # defaults to pool.capacity
+
+    def validate(self) -> None:
+        for key in ("delta_init", "grow_step", "pool_threshold"):
+            if (getattr(self, key) or 0) < 0:  # an unset pool_threshold is None
+                raise ValueError(f"midae.{key} must be non-negative")
+        if not (math.isfinite(self.merge_ratio) and self.merge_ratio >= 0):
+            raise ValueError("midae.merge_ratio must be finite and non-negative")
+        if not self.improve_eps > self.converge_eps >= 0:
+            raise ValueError("midae.improve_eps must exceed midae.converge_eps >= 0")
+
+
+@dataclass
+class MiDaeState:
+    """The node step and the last event's objective, under ``cfg``.
+
+    The growth step widens when the batch objective is falling fast
+    (relative drop beyond ``cfg.improve_eps``) and halves once it has
+    flattened out (relative drop below ``cfg.converge_eps``).
+    ``pool_threshold`` is ``cfg.pool_threshold`` resolved.
+    """
+
+    cfg: MiDaeConfig
+    pool_threshold: int
+    delta_nodes: int = field(init=False)
     prev_objective: float | None = None
+
+    def __post_init__(self) -> None:
+        self.delta_nodes = self.cfg.delta_init
 
 
 def update_rule(state: MiDaeState, e_now: float, e_prev: float) -> int:
@@ -51,9 +71,9 @@ def update_rule(state: MiDaeState, e_now: float, e_prev: float) -> int:
     if e_prev <= 0:
         raise ValueError("previous objective must be positive")
     ratio = e_now / e_prev
-    if ratio < 1.0 - state.improve_eps:
-        state.delta_nodes += state.grow_step
-    elif ratio > 1.0 - state.converge_eps:
+    if ratio < 1.0 - state.cfg.improve_eps:
+        state.delta_nodes += state.cfg.grow_step
+    elif ratio > 1.0 - state.cfg.converge_eps:
         state.delta_nodes //= 2
     return state.delta_nodes
 
@@ -90,7 +110,7 @@ def merge_inc_step(
         added = state.delta_nodes
         merged = 0
         if added > 0:
-            merged = min(math.ceil(state.merge_ratio * added), net.layers[0].n_hidden // 2)
+            merged = min(math.ceil(state.cfg.merge_ratio * added), net.layers[0].n_hidden // 2)
             merge_nodes(net, merged)
             increment_nodes(net, added, [pools.hard_as_batch(batch.seq_id)], rng)
         if state.prev_objective is not None:

@@ -8,6 +8,7 @@ size.  Sources are either synthetic Gaussian blobs or IDX image files.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -36,14 +37,18 @@ class StreamSpec:
     def validate(self) -> None:
         if self.classes < 2:
             raise ValueError("need at least two classes")
-        if self.batch_size < 1 or self.batches < 1:
-            raise ValueError("batch_size and batches must be positive")
+        if self.dims < 1 or self.batch_size < 1 or self.batches < 1:
+            raise ValueError("dims, batch_size and batches must be positive")
         if self.mode not in ("stationary", "nonstationary", "switch"):
             raise ValueError(f"unknown stream mode {self.mode!r}")
         if not 0.0 <= self.mask_noise <= 1.0:
             raise ValueError("mask_noise must be a probability")
         if not 0.0 < self.skew < 1.0:
             raise ValueError("skew must be in (0, 1)")
+        if (self.switch_at or 0) < 0:  # an unset switch_at is None
+            raise ValueError("switch_at must be non-negative")
+        if self.gp_length_scale is not None and not 0.0 < self.gp_length_scale < math.inf:
+            raise ValueError("gp_length_scale must be finite and positive")
 
 
 @dataclass

@@ -90,6 +90,10 @@ def test_traced_child_reaches_the_controller_and_gp_spans(tmp_path):
         "structure.merge_nodes",
         "structure.closest_pairs",
         "structure.pool_finetune",
+        # the harness calls these in its radae branch
+        "pools.update_recent",
+        "pools.update_diverse",
+        "controller.observe",
     ):
         assert layers.get(name, {}).get("calls", 0) > 0, name
 

@@ -155,6 +155,40 @@ class TestValidate:
         assert main(["run", "--config", config_path, "--out", ""]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "stream.dims = 0",
+            "stream.switch_at = -5",
+            "stream.gp_length_scale = 0",
+            "stream.gp_length_scale = -3",
+            "stream.gp_length_scale = nan",
+            "rl.size_width = 0",
+            "rl.size_width = -0.5",
+            "rl.size_target = nan",
+            "rl.size_target = inf",
+            "rl.delta_scale = nan",
+            "rl.delta_scale = inf",
+            "midae.merge_ratio = nan",
+            "midae.merge_ratio = inf",
+            "midae.merge_ratio = -1",
+            "midae.grow_step = -5",
+            "midae.pool_threshold = -1",
+        ],
+    )
+    def test_settings_that_break_the_run_exit_2(self, config_path, capsys, line):
+        # each used to pass validation and then fail at run time or run
+        # without meaning: a division by zero, a NaN node count, a negative
+        # slice index, a length scale silently replaced or mirrored
+        policy = {"rl": "radae", "midae": "midae"}.get(line.split(".")[0], "sdae")
+        with open(config_path, "a") as f:
+            f.write(f"policy = {policy}\n{line}\n")
+        attr = line.split()[0].split(".")[1]
+        assert main(["validate", "--config", config_path]) == 2
+        assert attr in capsys.readouterr().err
+        assert main(["run", "--config", config_path, "--out", ""]) == 2
+        assert attr in capsys.readouterr().err
+
     def test_negative_midae_step_exits_2(self, tmp_path, capsys):
         path = tmp_path / "midae.cfg"
         path.write_text(GOOD_CONFIG.replace("policy = sdae", "policy = midae") + "midae.delta_init = -1\n")

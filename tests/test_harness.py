@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,12 @@ import adaptdae.harness as harness
 import adaptdae.midae as midae
 import adaptdae.network as network
 from adaptdae.config import (
+    _KEYS,
     ConfigError,
     ExperimentConfig,
+    _parse_optional_float,
+    _parse_optional_int,
+    _parse_widths,
     parse_config,
     validate_experiment,
 )
@@ -109,6 +115,97 @@ class TestConfigParsing:
 
     def test_validate_accepts_defaults(self):
         assert validate_experiment(ExperimentConfig()) == []
+
+
+# the table as it was written out by hand, one line per key, before it was
+# derived from the config dataclasses; the derived one must not drift from it
+HAND_WRITTEN_KEYS = {
+    "policy": (None, "policy", str),
+    "seed": (None, "seed", int),
+    "out": (None, "out", str),
+    "summary_last": (None, "summary_last", int),
+    "test_fraction": (None, "test_fraction", float),
+    "stream.kind": (None, "kind", str),
+    "stream.per_class": (None, "per_class", int),
+    "stream.spread": (None, "spread", float),
+    "stream.images": (None, "images", str),
+    "stream.labels": (None, "labels", str),
+    "stream.classes": ("stream", "classes", int),
+    "stream.dims": ("stream", "dims", int),
+    "stream.batch_size": ("stream", "batch_size", int),
+    "stream.batches": ("stream", "batches", int),
+    "stream.mode": ("stream", "mode", str),
+    "stream.gp_length_scale": ("stream", "gp_length_scale", _parse_optional_float),
+    "stream.mask_noise": ("stream", "mask_noise", float),
+    "stream.switch_at": ("stream", "switch_at", _parse_optional_int),
+    "stream.skew": ("stream", "skew", float),
+    "nn.widths": ("nn", "widths", _parse_widths),
+    "nn.learning_rate": ("nn", "learning_rate", float),
+    "nn.corruption": ("nn", "corruption", float),
+    "nn.hybrid_weight": ("nn", "hybrid_weight", float),
+    "nn.pretrain_batches": ("nn", "pretrain_batches", int),
+    "nn.pretrain_epochs": ("nn", "pretrain_epochs", int),
+    "pool.capacity": ("pool", "capacity", int),
+    "pool.distance_threshold": ("pool", "distance_threshold", float),
+    "rl.ema_window": ("rl", "ema_window", int),
+    "rl.warmup_batches": ("rl", "warmup_batches", int),
+    "rl.greedy_after": ("rl", "greedy_after", int),
+    "rl.discount": ("rl", "discount", float),
+    "rl.q_lr": ("rl", "q_lr", float),
+    "rl.ema_alpha": ("rl", "ema_alpha", _parse_optional_float),
+    "rl.epsilon": ("rl", "epsilon", float),
+    "rl.delta_scale": ("rl", "delta_scale", _parse_optional_float),
+    "rl.size_target": ("rl", "size_target", float),
+    "rl.size_width": ("rl", "size_width", float),
+    "rl.size_low": ("rl", "size_low", float),
+    "rl.size_high": ("rl", "size_high", float),
+    "rl.state_space": ("rl", "state_space", int),
+    "rl.refit_interval": ("rl", "refit_interval", int),
+    "rl.max_observations": ("rl", "max_observations", int),
+    "rl.gp_noise": ("rl", "gp_noise", float),
+    "midae.delta_init": ("midae", "delta_init", int),
+    "midae.grow_step": ("midae", "grow_step", int),
+    "midae.merge_ratio": ("midae", "merge_ratio", float),
+    "midae.improve_eps": ("midae", "improve_eps", float),
+    "midae.converge_eps": ("midae", "converge_eps", float),
+    "midae.pool_threshold": ("midae", "pool_threshold", _parse_optional_int),
+}
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config_rows():
+    """(keys, defaults) per row of the README's configuration table; a row
+    such as `rl.size_low` / `rl.size_high` names several keys."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    rows = []
+    for line in table.splitlines():
+        key_cell, default_cell = line.split(" | ")[:2]
+        keys = re.findall(r"`([^`]+)`", key_cell)
+        defaults = [cell.strip("`") for cell in default_cell.split(" / ")]
+        rows.append((keys, defaults * len(keys) if len(defaults) == 1 else defaults))
+    return rows
+
+
+class TestKeyTable:
+    def test_derived_table_equals_the_hand_written_one(self):
+        assert list(_KEYS) == list(HAND_WRITTEN_KEYS)
+        for key, entry in HAND_WRITTEN_KEYS.items():
+            assert _KEYS[key] == entry, key
+
+    def test_readme_table_names_every_key_once(self):
+        keys = [key for row_keys, _ in readme_config_rows() for key in row_keys]
+        assert sorted(keys) == sorted(_KEYS)
+
+    def test_readme_defaults_are_the_dataclass_defaults(self):
+        defaults = ExperimentConfig()
+        for keys, cells in readme_config_rows():
+            assert len(keys) == len(cells), keys
+            for key, cell in zip(keys, cells):
+                section, attr, parser = _KEYS[key]
+                owner = defaults if section is None else getattr(defaults, section)
+                assert parser(cell) == getattr(owner, attr), key
 
 
 class TestEvalFunctions:

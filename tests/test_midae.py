@@ -12,10 +12,8 @@ from adaptdae.pools import PoolSet
 from conftest import make_batch, make_net
 
 
-def fresh_state(**kwargs):
-    defaults = dict(delta_nodes=4, grow_step=4, pool_threshold=10)
-    defaults.update(kwargs)
-    return MiDaeState(**defaults)
+def fresh_state(delta_nodes=4, pool_threshold=10, **kwargs):
+    return MiDaeState(MiDaeConfig(**{"grow_step": 4, **kwargs}, delta_init=delta_nodes), pool_threshold)
 
 
 class TestUpdateRule:
@@ -79,7 +77,7 @@ class TestMergeIncStep:
             if event is None:
                 assert net.layers[0].n_hidden == width
             else:
-                assert event.merged == math.ceil(state.merge_ratio * event.added)
+                assert event.merged == math.ceil(state.cfg.merge_ratio * event.added)
                 width = width + event.added - event.merged
                 assert net.layers[0].n_hidden == width
 
