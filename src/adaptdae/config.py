@@ -166,6 +166,8 @@ def validate_experiment(cfg: ExperimentConfig) -> list[str]:
         problems.append("stream.kind=idx requires stream.images and stream.labels")
     if cfg.kind == "synth" and cfg.per_class < 1:
         problems.append("stream.per_class must be positive")
+    if not 0.0 <= cfg.spread < math.inf:
+        problems.append("stream.spread must be finite and non-negative")
     try:
         cfg.stream.validate()
     except ValueError as err:

@@ -54,8 +54,14 @@ class ControllerConfig:
             raise ValueError("epsilon must be in [0, 1]")
         if self.warmup_batches >= self.greedy_after:
             raise ValueError("warmup_batches must precede greedy_after")
+        if not 0.0 <= self.size_low < math.inf:
+            raise ValueError("size_low must be finite and non-negative")
+        if not math.isfinite(self.size_high):
+            raise ValueError("size_high must be finite")
         if self.size_low >= self.size_high:
             raise ValueError("size_low must be below size_high")
+        if not 0.0 <= self.q_lr <= 1.0:
+            raise ValueError("q_lr must be in [0, 1]")
         if self.state_space not in (1, 2, 3, 4):
             raise ValueError("state_space must be 1..4")
         for key in ("ema_window", "refit_interval", "max_observations"):

@@ -19,13 +19,19 @@ PROB_EPS = 1e-7
 def sigmoid(v: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, elementwise.
 
-    ``exp`` only ever sees ``-|v|``, so it cannot overflow; for ``v < 0``
-    the result is ``e^v / (1 + e^v)``, else ``1 / (1 + e^-v)``.
+    ``exp`` only ever sees values <= 0, so it cannot overflow: the result
+    is ``e^min(v, 0) / (1 + e^-|v|)``, that is ``e^v / (1 + e^v)`` for
+    ``v < 0`` and ``1 / (1 + e^-v)`` otherwise.
     """
     v = np.asarray(v, dtype=np.float64)
-    e = np.exp(-np.abs(v))
-    out = np.where(v >= 0, 1.0, e)
-    out /= 1.0 + e
+    # two buffers, each filled in place; out= keeps a 0-d input a 0-d array
+    out = np.minimum(v, 0.0, out=np.empty_like(v))
+    np.exp(out, out=out)
+    den = np.abs(v, out=np.empty_like(v))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out /= den
     return out
 
 
@@ -52,9 +58,18 @@ def _clamp_prob(q: np.ndarray) -> np.ndarray:
 
 def cross_entropy(target: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     """Summed binary cross-entropy over the last axis, always >= 0."""
-    q = _clamp_prob(np.asarray(predicted, dtype=np.float64))
     t = np.asarray(target, dtype=np.float64)
-    return -np.sum(t * np.log(q) + (1.0 - t) * np.log1p(-q), axis=-1)
+    q = np.asarray(predicted, dtype=np.float64)
+    # t * log(q) + (1 - t) * log1p(-q), step by step in place on two
+    # buffers: the clipped copy of q, taken at the broadcast shape, and rest
+    q = _clamp_prob(np.broadcast_to(q, np.broadcast_shapes(t.shape, q.shape)))
+    rest = np.negative(q)
+    np.log1p(rest, out=rest)
+    rest *= 1.0 - t
+    np.log(q, out=q)
+    q *= t
+    q += rest
+    return -np.sum(q, axis=-1)
 
 
 @dataclass
@@ -202,14 +217,18 @@ def encode(layer: Layer, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape[-1] != layer.n_input:
         raise ValueError(f"expected {layer.n_input} inputs, got {x.shape[-1]}")
-    return sigmoid(x @ layer.W.T + layer.b)
+    z = x @ layer.W.T
+    z += layer.b
+    return sigmoid(z)
 
 
 def decode(layer: Layer, h: np.ndarray) -> np.ndarray:
     h = np.asarray(h)
     if h.shape[-1] != layer.n_hidden:
         raise ValueError(f"expected {layer.n_hidden} codes, got {h.shape[-1]}")
-    return sigmoid(h @ layer.W + layer.b_rec)
+    z = h @ layer.W
+    z += layer.b_rec
+    return sigmoid(z)
 
 
 def _encode_stack(net: Network, X: np.ndarray) -> list[np.ndarray]:
@@ -332,7 +351,8 @@ def _encoder_backward(net: Network, acts: list[np.ndarray], d_top: np.ndarray, g
         dz = da * a * (1.0 - a)
         grads.layers[i].dW += dz.T @ acts[i]
         grads.layers[i].db += dz.sum(axis=0)
-        da = dz @ net.layers[i].W
+        if i > 0:  # nothing reads the gradient of the input
+            da = dz @ net.layers[i].W
 
 
 def _discriminative_backward(
@@ -362,7 +382,8 @@ def _reconstruction_grads(net: Network, acts: list[np.ndarray], recs: list[np.nd
     p = acts[0].shape[0]
     grads = _zero_grads(net)
     # walk the decode chain back up; du is the pre-sigmoid gradient at level i
-    du = (recs[0] - acts[0]) / p
+    du = recs[0] - acts[0]
+    du /= p
     d_top = None
     for i, layer in enumerate(net.layers):
         grads.layers[i].dW += recs[i + 1].T @ du
@@ -434,8 +455,9 @@ def dae_gradients(layer: Layer, target: np.ndarray, noisy: np.ndarray) -> tuple[
     """
     p = target.shape[0]
     h = encode(layer, noisy)
-    x_hat = decode(layer, h)
-    du = (x_hat - target) / p
+    du = decode(layer, h)  # x_hat, turned into its gradient in place
+    du -= target
+    du /= p
     dW = h.T @ du  # decoder contribution
     db_rec = du.sum(axis=0)
     dh = du @ layer.W.T

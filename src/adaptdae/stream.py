@@ -159,7 +159,8 @@ def build_stream(
             if c == 0:
                 continue
             store = source.examples[k]
-            x = store[rng.integers(0, store.shape[0], size=c)].astype(np.float64)
+            # the fancy index already copies, so a float64 store is not copied again
+            x = store[rng.integers(0, store.shape[0], size=c)].astype(np.float64, copy=False)
             if spec.mask_noise > 0:
                 mask = rng.random(x.shape) < spec.mask_noise
                 x = np.where(mask, rng.random(x.shape), x)

@@ -5,8 +5,11 @@ look up; a refactor that drops or bypasses one of them would only show up
 as a missing metric in the benchmark.  This runs the traced child on a tiny
 stream under each policy so that it shows up here instead.  The child
 replaces ``harness.TraceRecord`` for the whole run, trace writing included.
+Likewise, each kernel ``perfbench/micro.py`` times is called once here, so a
+changed kernel signature fails tier-1 rather than a traced benchmark run.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CHILD = PERFBENCH / "child.py"
 
 TINY_RADAE = """
 policy = radae
@@ -103,3 +107,15 @@ def test_traced_child_reaches_the_policy_spans(tmp_path, policy):
     layers = run_traced_child(tmp_path, TINY[policy])["layers"]
     for name in SPANS[policy]:
         assert layers.get(name, {}).get("calls", 0) > 0, name
+
+
+def test_every_microbenchmark_kernel_runs(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_micro", PERFBENCH / "micro.py")
+    micro = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(micro)
+    kernels = micro.kernels(1)
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    assert [k[:2] for k in kernels] == [(m["name"], m["unit"]) for m in declared if m["name"].startswith("micro.")]
+    for name, unit, call, scale in kernels:
+        call()

@@ -169,6 +169,16 @@ class TestValidate:
             "rl.size_target = inf",
             "rl.delta_scale = nan",
             "rl.delta_scale = inf",
+            "rl.size_low = nan",
+            "rl.size_low = -0.5",
+            "rl.size_high = inf",
+            "rl.size_high = nan",
+            "rl.q_lr = nan",
+            "rl.q_lr = -1",
+            "rl.q_lr = 1.5",
+            "stream.spread = nan",
+            "stream.spread = -0.3",
+            "stream.spread = inf",
             "midae.merge_ratio = nan",
             "midae.merge_ratio = inf",
             "midae.merge_ratio = -1",
@@ -179,7 +189,9 @@ class TestValidate:
     def test_settings_that_break_the_run_exit_2(self, config_path, capsys, line):
         # each used to pass validation and then fail at run time or run
         # without meaning: a division by zero, a NaN node count, a negative
-        # slice index, a length scale silently replaced or mirrored
+        # slice index, a length scale silently replaced or mirrored, a NaN
+        # or infinite corridor, utilities blended away from their targets,
+        # a NaN or negative spread silently read as 0
         policy = {"rl": "radae", "midae": "midae"}.get(line.split(".")[0], "sdae")
         with open(config_path, "a") as f:
             f.write(f"policy = {policy}\n{line}\n")

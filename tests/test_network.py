@@ -1,10 +1,15 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adaptdae.network import (
+    PROB_EPS,
     DataBatch,
     Layer,
     batch_errors,
@@ -466,3 +471,195 @@ class TestDataBatch:
         )
         with pytest.raises(ValueError):
             batch.validate()
+
+
+# The plain expressions the in-place kernels replaced, kept as bit-exact
+# references: every loss and gradient must keep its bytes.
+
+
+def plain_cross_entropy(target, predicted):
+    q = np.clip(np.asarray(predicted, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    t = np.asarray(target, dtype=np.float64)
+    return -np.sum(t * np.log(q) + (1.0 - t) * np.log1p(-q), axis=-1)
+
+
+def plain_forward(net, X):
+    acts = [np.asarray(X, dtype=np.float64)]
+    for layer in net.layers:
+        acts.append(masked_sigmoid(acts[-1] @ layer.W.T + layer.b))
+    recs = [acts[-1]]
+    for layer in reversed(net.layers):
+        recs.append(masked_sigmoid(recs[-1] @ layer.W + layer.b_rec))
+    recs.reverse()
+    y_hat = softmax(acts[-1] @ net.out_W.T + net.out_b)
+    return acts, recs, plain_cross_entropy(acts[0], recs[0]), y_hat
+
+
+def plain_encoder_backward(net, acts, d_top, grads):
+    da = d_top
+    for i in range(len(net.layers) - 1, -1, -1):
+        a = acts[i + 1]
+        dz = da * a * (1.0 - a)
+        grads.layers[i].dW += dz.T @ acts[i]
+        grads.layers[i].db += dz.sum(axis=0)
+        da = dz @ net.layers[i].W
+
+
+def plain_reconstruction_grads(net, acts, recs):
+    p = acts[0].shape[0]
+    grads = network._zero_grads(net)
+    du = (recs[0] - acts[0]) / p
+    d_top = None
+    for i, layer in enumerate(net.layers):
+        grads.layers[i].dW += recs[i + 1].T @ du
+        grads.layers[i].db_rec += du.sum(axis=0)
+        d_rec = du @ layer.W.T
+        if i + 1 < len(net.layers):
+            du = d_rec * recs[i + 1] * (1.0 - recs[i + 1])
+        else:
+            d_top = d_rec
+    plain_encoder_backward(net, acts, d_top, grads)
+    return grads
+
+
+def plain_network_gradients(net, batch, hybrid_weight):
+    acts, recs, rec_losses, y_hat = plain_forward(net, batch.inputs)
+    labels = batch.labels
+    p = labels.shape[0]
+    disc = float(plain_cross_entropy(labels, y_hat).mean())
+    q = np.clip(y_hat, PROB_EPS, 1.0 - PROB_EPS)
+    g = (-(labels / q) + (1.0 - labels) / (1.0 - q)) / p
+    dz = y_hat * (g - np.sum(g * y_hat, axis=1, keepdims=True))
+    grads = network._zero_grads(net)
+    grads.out_W += dz.T @ acts[-1]
+    grads.out_b += dz.sum(axis=0)
+    plain_encoder_backward(net, acts, dz @ net.out_W, grads)
+    gen = 0.0
+    if hybrid_weight != 0.0:
+        gen_grads = plain_reconstruction_grads(net, acts, recs)
+        gen = float(rec_losses.mean())
+        for g, gg in zip(grads.layers, gen_grads.layers):
+            g.dW += hybrid_weight * gg.dW
+            g.db += hybrid_weight * gg.db
+            g.db_rec += hybrid_weight * gg.db_rec
+    return grads, disc, gen
+
+
+def plain_dae_gradients(layer, target, noisy):
+    p = target.shape[0]
+    h = masked_sigmoid(noisy @ layer.W.T + layer.b)
+    x_hat = masked_sigmoid(h @ layer.W + layer.b_rec)
+    du = (x_hat - target) / p
+    dW = h.T @ du
+    db_rec = du.sum(axis=0)
+    dz = (du @ layer.W.T) * h * (1.0 - h)
+    dW += dz.T @ noisy
+    return dW, dz.sum(axis=0), db_rec
+
+
+PROBS = st.one_of(
+    st.sampled_from([0.0, 1.0, PROB_EPS, 1.0 - PROB_EPS, 0.5]),
+    st.floats(0.0, 1.0),
+)
+# shapes whose pairs all broadcast, either way round
+CE_SHAPES = [(4, 5), (5,), (1, 5), (4, 1)]
+
+
+class TestInPlaceKernelsKeepTheirBits:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.integers(1, 12),
+        widths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        rows=st.integers(1, 50),
+        hybrid_weight=st.sampled_from([0.0, 0.2, 1.0]),
+    )
+    def test_losses_and_gradients(self, seed, dims, widths, rows, hybrid_weight):
+        rng = np.random.default_rng(seed)
+        net = make_net(rng, dims=dims, widths=tuple(widths))
+        batch = make_batch(rng, rows, dims, 3)
+        fwd = forward(net, batch.inputs)
+        acts, recs, rec_losses, y_hat = plain_forward(net, batch.inputs)
+        for a, b in zip(fwd.acts + fwd.recs + [fwd.rec_losses, fwd.y_hat], acts + recs + [rec_losses, y_hat]):
+            assert same_bits(a, b)
+        grads, disc, gen = network_gradients(net, batch, hybrid_weight, fwd)
+        ref, ref_disc, ref_gen = plain_network_gradients(net, batch, hybrid_weight)
+        assert same_bits(disc, ref_disc) and same_bits(gen, ref_gen)
+        for a, b in zip(_collect_grads(grads), _collect_grads(ref)):
+            assert same_bits(a, b)
+        # pre-training's single-layer step, on the top layer's corrupted input
+        layer = net.layers[-1]
+        noisy = corrupt(acts[-2], 0.3, rng)
+        for a, b in zip(dae_gradients(layer, acts[-2], noisy), plain_dae_gradients(layer, acts[-2], noisy)):
+            assert same_bits(a, b)
+        h = masked_sigmoid(noisy @ layer.W.T + layer.b)
+        plain_dae = float(plain_cross_entropy(acts[-2], masked_sigmoid(h @ layer.W + layer.b_rec)).mean())
+        assert same_bits(dae_loss(layer, acts[-2], noisy), plain_dae)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), t_shape=st.sampled_from(CE_SHAPES), q_shape=st.sampled_from(CE_SHAPES))
+    def test_cross_entropy_broadcasting_either_way(self, data, t_shape, q_shape):
+        t = data.draw(hnp.arrays(np.float64, t_shape, elements=PROBS))
+        q = data.draw(hnp.arrays(np.float64, q_shape, elements=PROBS))
+        assert same_bits(cross_entropy(t, q), plain_cross_entropy(t, q))
+
+    @given(n=st.integers(2, 6), m=st.integers(2, 6), rows=st.integers(0, 3))
+    def test_lengths_that_do_not_broadcast_raise(self, n, m, rows):
+        assume(n != m)
+        t = np.full((rows, n) if rows else n, 0.5)
+        with pytest.raises(ValueError):
+            cross_entropy(t, np.full(m, 0.5))
+        with pytest.raises(ValueError):
+            cross_entropy(np.full(m, 0.5), t)
+
+
+class TestKernelsLeaveInputsAlone:
+    def test_sigmoid(self, rng):
+        v = rng.standard_normal((30, 7)) * 5
+        before = v.copy()
+        sigmoid(v)
+        assert same_bits(v, before)
+
+    def test_cross_entropy(self, rng):
+        t, q = rng.random((30, 7)), rng.random((30, 7))
+        q[0, :2] = [0.0, 1.0]
+        t_before, q_before = t.copy(), q.copy()
+        cross_entropy(t, q)
+        assert same_bits(t, t_before) and same_bits(q, q_before)
+
+    def test_forward(self, rng):
+        net = make_net(rng)
+        batch = make_batch(rng, 12, 6, 3)
+        inputs, params = batch.inputs.copy(), [a.copy() for a in _collect_params(net)]
+        forward(net, batch.inputs)
+        assert same_bits(batch.inputs, inputs)
+        for a, b in zip(_collect_params(net), params):
+            assert same_bits(a, b)
+
+
+def peak_in_batch_arrays(call, batch_bytes):
+    """Peak memory allocated while ``call`` runs, result included, in
+    units of one batch-sized float64 array."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / batch_bytes
+
+
+class TestWideBatchMemory:
+    """At the wide workload's 1000 x 784 the temporaries dominate the
+    memory a kernel needs; the plain expressions peaked at 3, 5 and 6.2
+    batch arrays."""
+
+    ROWS, DIMS = 1000, 784
+
+    def test_peaks(self, rng):
+        X, q = rng.random((2, self.ROWS, self.DIMS))
+        v = rng.standard_normal(X.shape) * 4
+        net = network.init_network(self.DIMS, (32, 32, 32), 3, rng)
+        assert peak_in_batch_arrays(lambda: sigmoid(v), X.nbytes) <= 2.05
+        assert peak_in_batch_arrays(lambda: cross_entropy(X, q), X.nbytes) <= 3.05
+        assert peak_in_batch_arrays(lambda: forward(net, X), X.nbytes) <= 4.5
