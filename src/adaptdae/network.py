@@ -333,68 +333,53 @@ class NetworkGrads:
     out_b: np.ndarray
 
 
-def _zero_grads(net: Network) -> NetworkGrads:
-    return NetworkGrads(
-        layers=[
-            LayerGrads(np.zeros_like(l.W), np.zeros_like(l.b), np.zeros_like(l.b_rec))
-            for l in net.layers
-        ],
-        out_W=np.zeros_like(net.out_W),
-        out_b=np.zeros_like(net.out_b),
-    )
-
-
-def _encoder_backward(net: Network, acts: list[np.ndarray], d_top: np.ndarray, grads: NetworkGrads) -> None:
+def _encoder_backward(layers: list[Layer], acts: list[np.ndarray], d_top: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's ``(dW, db)`` from the gradient ``d_top`` at the top code."""
+    grads = []
     da = d_top
-    for i in range(len(net.layers) - 1, -1, -1):
+    for i in range(len(layers) - 1, -1, -1):
         a = acts[i + 1]
         dz = da * a * (1.0 - a)
-        grads.layers[i].dW += dz.T @ acts[i]
-        grads.layers[i].db += dz.sum(axis=0)
+        grads.append((dz.T @ acts[i], dz.sum(axis=0)))
         if i > 0:  # nothing reads the gradient of the input
-            da = dz @ net.layers[i].W
+            da = dz @ layers[i].W
+    grads.reverse()
+    return grads
 
 
-def _discriminative_backward(
-    net: Network, acts: list[np.ndarray], y_hat: np.ndarray, labels: np.ndarray
-) -> tuple[NetworkGrads, float]:
-    p = labels.shape[0]
-    loss = float(cross_entropy(labels, y_hat).mean())
-    q = _clamp_prob(y_hat)
-    # cross-entropy derivative w.r.t. the probabilities, then through softmax
-    g = (-(labels / q) + (1.0 - labels) / (1.0 - q)) / p
-    dz = y_hat * (g - np.sum(g * y_hat, axis=1, keepdims=True))
-    grads = _zero_grads(net)
-    grads.out_W += dz.T @ acts[-1]
-    grads.out_b += dz.sum(axis=0)
-    _encoder_backward(net, acts, dz @ net.out_W, grads)
-    return grads, loss
+def _reconstruction_grads(
+    layers: list[Layer], acts: list[np.ndarray], dec_in: list[np.ndarray], du: np.ndarray
+) -> list[LayerGrads]:
+    """Gradients of the mean reconstruction loss of the stack ``layers``.
+
+    The encoder reads ``acts`` (``acts[0]`` is its input, corrupted or
+    not) and ``dec_in[i]`` is the code layer ``i`` decodes.  ``du`` is the
+    residual ``x_hat - target``, divided by the row count in place.  The
+    backward lets go of it after the first decoder layer, so a residual
+    passed as a temporary is freed there.
+    """
+    du /= du.shape[0]
+    # walk the decode chain back up; du is the pre-sigmoid gradient at each level
+    dec = []
+    for i, (layer, h) in enumerate(zip(layers, dec_in)):
+        dec.append((h.T @ du, du.sum(axis=0)))
+        du = du @ layer.W.T
+        if i + 1 < len(layers):
+            du = du * h * (1.0 - h)
+    # tied weights: the encoder's part of dW joins the decoder's
+    return [
+        LayerGrads(np.add(dW_dec, dW, out=dW_dec), db, db_rec)
+        for (dW_dec, db_rec), (dW, db) in zip(dec, _encoder_backward(layers, acts, du))
+    ]
 
 
 def _generative_backward(net: Network, acts: list[np.ndarray]) -> tuple[NetworkGrads, float]:
     """Gradients and value of the mean reconstruction loss, decoding from
     the encoder activations ``acts``."""
     recs = _decode_stack(net, acts[-1])
-    return _reconstruction_grads(net, acts, recs), float(cross_entropy(acts[0], recs[0]).mean())
-
-
-def _reconstruction_grads(net: Network, acts: list[np.ndarray], recs: list[np.ndarray]) -> NetworkGrads:
-    p = acts[0].shape[0]
-    grads = _zero_grads(net)
-    # walk the decode chain back up; du is the pre-sigmoid gradient at level i
-    du = recs[0] - acts[0]
-    du /= p
-    d_top = None
-    for i, layer in enumerate(net.layers):
-        grads.layers[i].dW += recs[i + 1].T @ du
-        grads.layers[i].db_rec += du.sum(axis=0)
-        d_rec = du @ layer.W.T
-        if i + 1 < len(net.layers):
-            du = d_rec * recs[i + 1] * (1.0 - recs[i + 1])
-        else:
-            d_top = d_rec
-    _encoder_backward(net, acts, d_top, grads)
-    return grads
+    grads = _reconstruction_grads(net.layers, acts, recs[1:], recs[0] - acts[0])
+    loss = float(cross_entropy(acts[0], recs[0]).mean())
+    return NetworkGrads(grads, np.zeros_like(net.out_W), np.zeros_like(net.out_b)), loss
 
 
 def network_loss(net: Network, batch: DataBatch, hybrid_weight: float) -> tuple[float, float, float]:
@@ -415,16 +400,22 @@ def network_gradients(
     """
     if fwd is None:
         fwd = forward(net, batch.inputs, decode=hybrid_weight != 0.0)
-    grads, disc = _discriminative_backward(net, fwd.acts, fwd.y_hat, batch.labels)
-    gen = 0.0
-    if hybrid_weight != 0.0:
-        gen_grads = _reconstruction_grads(net, fwd.acts, fwd.recs)
-        gen = float(fwd.rec_losses.mean())
-        for g, gg in zip(grads.layers, gen_grads.layers):
-            g.dW += hybrid_weight * gg.dW
-            g.db += hybrid_weight * gg.db
-            g.db_rec += hybrid_weight * gg.db_rec
-    return grads, disc, gen
+    acts, y_hat, labels = fwd.acts, fwd.y_hat, batch.labels
+    disc = float(cross_entropy(labels, y_hat).mean())
+    q = _clamp_prob(y_hat)
+    # cross-entropy derivative w.r.t. the probabilities, then through softmax
+    g = (-(labels / q) + (1.0 - labels) / (1.0 - q)) / labels.shape[0]
+    dz = y_hat * (g - np.sum(g * y_hat, axis=1, keepdims=True))
+    enc = _encoder_backward(net.layers, acts, dz @ net.out_W)
+    if hybrid_weight == 0.0:
+        layers = [LayerGrads(dW, db, np.zeros_like(l.b_rec)) for l, (dW, db) in zip(net.layers, enc)]
+        return NetworkGrads(layers, dz.T @ acts[-1], dz.sum(axis=0)), disc, 0.0
+    rec = _reconstruction_grads(net.layers, acts, fwd.recs[1:], fwd.recs[0] - acts[0])
+    layers = [
+        LayerGrads(dW + hybrid_weight * r.dW, db + hybrid_weight * r.db, hybrid_weight * r.db_rec)
+        for (dW, db), r in zip(enc, rec)
+    ]
+    return NetworkGrads(layers, dz.T @ acts[-1], dz.sum(axis=0)), disc, float(fwd.rec_losses.mean())
 
 
 def finetune(net: Network, batch: DataBatch, hybrid_weight: float = 0.2, fwd: Forward | None = None) -> Network:
@@ -451,20 +442,14 @@ def dae_loss(layer: Layer, target: np.ndarray, noisy: np.ndarray) -> float:
 def dae_gradients(layer: Layer, target: np.ndarray, noisy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the mean single-layer reconstruction loss.
 
-    Tied weights collect both the encoder and decoder contributions.
+    This is the one-layer case of the stack's reconstruction backward,
+    with ``noisy`` as the encoder input.
     """
-    p = target.shape[0]
     h = encode(layer, noisy)
-    du = decode(layer, h)  # x_hat, turned into its gradient in place
-    du -= target
-    du /= p
-    dW = h.T @ du  # decoder contribution
-    db_rec = du.sum(axis=0)
-    dh = du @ layer.W.T
-    dz = dh * h * (1.0 - h)
-    dW += dz.T @ noisy  # encoder contribution
-    db = dz.sum(axis=0)
-    return dW, db, db_rec
+    residual = decode(layer, h)  # x_hat, turned into the residual in place
+    residual -= target
+    (g,) = _reconstruction_grads([layer], [noisy, h], [h], residual)
+    return g.dW, g.db, g.db_rec
 
 
 def pretrain_layer(

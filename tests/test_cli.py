@@ -184,6 +184,8 @@ class TestValidate:
             "midae.merge_ratio = -1",
             "midae.grow_step = -5",
             "midae.pool_threshold = -1",
+            "stream.per_class = 1",
+            "stream.per_class = 2\ntest_fraction = 0.9",
         ],
     )
     def test_settings_that_break_the_run_exit_2(self, config_path, capsys, line):
@@ -191,7 +193,8 @@ class TestValidate:
         # without meaning: a division by zero, a NaN node count, a negative
         # slice index, a length scale silently replaced or mirrored, a NaN
         # or infinite corridor, utilities blended away from their targets,
-        # a NaN or negative spread silently read as 0
+        # a NaN or negative spread silently read as 0, a class left without
+        # a test or a training example
         policy = {"rl": "radae", "midae": "midae"}.get(line.split(".")[0], "sdae")
         with open(config_path, "a") as f:
             f.write(f"policy = {policy}\n{line}\n")

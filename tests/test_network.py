@@ -31,6 +31,7 @@ from adaptdae.network import (
     softmax,
 )
 import adaptdae.network as network
+import adaptdae.structure as structure
 from conftest import make_batch, make_net
 
 
@@ -474,7 +475,10 @@ class TestDataBatch:
 
 
 # The plain expressions the in-place kernels replaced, kept as bit-exact
-# references: every loss and gradient must keep its bytes.
+# references: every loss and gradient must keep its bytes.  The gradients
+# are accumulated into zeros, as they were before each one was assigned
+# from its first contribution; the two differ at most in the sign of a zero
+# entry, so gradients are compared after ``+ 0.0``.
 
 
 def plain_cross_entropy(target, predicted):
@@ -495,6 +499,22 @@ def plain_forward(net, X):
     return acts, recs, plain_cross_entropy(acts[0], recs[0]), y_hat
 
 
+def zero_grads(net):
+    return network.NetworkGrads(
+        layers=[
+            network.LayerGrads(np.zeros_like(l.W), np.zeros_like(l.b), np.zeros_like(l.b_rec))
+            for l in net.layers
+        ],
+        out_W=np.zeros_like(net.out_W),
+        out_b=np.zeros_like(net.out_b),
+    )
+
+
+def same_value_bits(a, b):
+    """Equal bits once a zero's sign is dropped: ``-0.0 + 0.0`` is ``+0.0``."""
+    return same_bits(np.asarray(a) + 0.0, np.asarray(b) + 0.0)
+
+
 def plain_encoder_backward(net, acts, d_top, grads):
     da = d_top
     for i in range(len(net.layers) - 1, -1, -1):
@@ -507,7 +527,7 @@ def plain_encoder_backward(net, acts, d_top, grads):
 
 def plain_reconstruction_grads(net, acts, recs):
     p = acts[0].shape[0]
-    grads = network._zero_grads(net)
+    grads = zero_grads(net)
     du = (recs[0] - acts[0]) / p
     d_top = None
     for i, layer in enumerate(net.layers):
@@ -522,7 +542,8 @@ def plain_reconstruction_grads(net, acts, recs):
     return grads
 
 
-def plain_network_gradients(net, batch, hybrid_weight):
+def plain_network_gradients(net, batch, hybrid_weight, fwd=None):
+    # ``fwd`` is ignored: the reference runs its own forward
     acts, recs, rec_losses, y_hat = plain_forward(net, batch.inputs)
     labels = batch.labels
     p = labels.shape[0]
@@ -530,7 +551,7 @@ def plain_network_gradients(net, batch, hybrid_weight):
     q = np.clip(y_hat, PROB_EPS, 1.0 - PROB_EPS)
     g = (-(labels / q) + (1.0 - labels) / (1.0 - q)) / p
     dz = y_hat * (g - np.sum(g * y_hat, axis=1, keepdims=True))
-    grads = network._zero_grads(net)
+    grads = zero_grads(net)
     grads.out_W += dz.T @ acts[-1]
     grads.out_b += dz.sum(axis=0)
     plain_encoder_backward(net, acts, dz @ net.out_W, grads)
@@ -586,7 +607,7 @@ class TestInPlaceKernelsKeepTheirBits:
         ref, ref_disc, ref_gen = plain_network_gradients(net, batch, hybrid_weight)
         assert same_bits(disc, ref_disc) and same_bits(gen, ref_gen)
         for a, b in zip(_collect_grads(grads), _collect_grads(ref)):
-            assert same_bits(a, b)
+            assert same_value_bits(a, b)
         # pre-training's single-layer step, on the top layer's corrupted input
         layer = net.layers[-1]
         noisy = corrupt(acts[-2], 0.3, rng)
@@ -611,6 +632,85 @@ class TestInPlaceKernelsKeepTheirBits:
             cross_entropy(t, np.full(m, 0.5))
         with pytest.raises(ValueError):
             cross_entropy(np.full(m, 0.5), t)
+
+
+def no_negative_zero(arrays):
+    return not any(np.any((a == 0.0) & np.signbit(a)) for a in arrays)
+
+
+class TestSaturatedUnitsKeepTheirBits:
+    """Scaled-up weights saturate units to exactly 0.0 or 1.0, where
+    ``a * (1 - a)`` is 0 and gradient entries are +-0.  There the assigned
+    gradients may differ from the accumulated ones in the sign of a zero,
+    which no update ``p - lr * g`` can see: no parameter holds -0.0."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.integers(1, 10),
+        widths=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+        rows=st.integers(1, 30),
+        scale=st.sampled_from([1.0, 50.0, 300.0, 1000.0, 20000.0]),
+    )
+    def test_gradients_and_steps(self, seed, dims, widths, rows, scale):
+        rng = np.random.default_rng(seed)
+        net = make_net(rng, dims=dims, widths=tuple(widths))
+        for p in _collect_params(net):
+            p *= scale
+        batch = make_batch(rng, rows, dims, 3)
+        fwd = forward(net, batch.inputs)
+        for hybrid_weight in (0.0, 0.2, 1.0):
+            grads, _, _ = network_gradients(net, batch, hybrid_weight, fwd)
+            ref, _, _ = plain_network_gradients(net, batch, hybrid_weight)
+            for a, b in zip(_collect_grads(grads), _collect_grads(ref)):
+                assert same_value_bits(a, b)
+        noisy = corrupt(fwd.acts[-2], 0.3, rng)
+        dae = dae_gradients(net.layers[-1], fwd.acts[-2], noisy)
+        for a, b in zip(dae, plain_dae_gradients(net.layers[-1], fwd.acts[-2], noisy)):
+            assert same_bits(a, b)  # no zeros to add into: every bit as before
+
+        def step_both(step, *patches):
+            new, ref = copy.deepcopy(net), copy.deepcopy(net)
+            step(new)
+            with pytest.MonkeyPatch.context() as mp:
+                for module, name, fn in patches:
+                    mp.setattr(module, name, fn)
+                step(ref)
+            for a, b in zip(_collect_params(new), _collect_params(ref)):
+                assert same_bits(a, b)
+            assert no_negative_zero(_collect_params(new))
+
+        for hybrid_weight in (0.0, 0.2, 1.0):
+            step_both(
+                lambda n: finetune(n, batch, hybrid_weight),
+                (network, "network_gradients", plain_network_gradients),
+            )
+        step_both(
+            lambda n: pretrain_layer(n, len(widths) - 1, [batch], 1, np.random.default_rng(seed)),
+            (network, "dae_gradients", plain_dae_gradients),
+        )
+        step_both(
+            lambda n: structure.increment_nodes(n, 2, [batch], np.random.default_rng(seed)),
+            (structure, "dae_gradients", plain_dae_gradients),
+            (structure, "network_gradients", plain_network_gradients),
+        )
+
+    def test_saturation_reaches_signed_zero_gradients(self):
+        # the property above is not vacuous: with most units saturated the
+        # accumulated and the assigned gradients differ in a zero's sign (at
+        # full saturation every gradient is +0.0 and they agree again)
+        rng = np.random.default_rng(3)
+        net = make_net(rng, dims=8, widths=(6, 5))
+        for p in _collect_params(net):
+            p *= 300.0
+        batch = make_batch(rng, 20, 8, 3)
+        fwd = forward(net, batch.inputs)
+        assert all(np.isin(a, (0.0, 1.0)).mean() > 0.5 for a in fwd.acts[1:])
+        grads, _, _ = network_gradients(net, batch, 0.2, fwd)
+        ref, _, _ = plain_network_gradients(net, batch, 0.2)
+        pairs = list(zip(_collect_grads(grads), _collect_grads(ref)))
+        assert all(same_value_bits(a, b) for a, b in pairs)
+        assert not all(same_bits(a, b) for a, b in pairs)
 
 
 class TestKernelsLeaveInputsAlone:
@@ -663,3 +763,23 @@ class TestWideBatchMemory:
         assert peak_in_batch_arrays(lambda: sigmoid(v), X.nbytes) <= 2.05
         assert peak_in_batch_arrays(lambda: cross_entropy(X, q), X.nbytes) <= 3.05
         assert peak_in_batch_arrays(lambda: forward(net, X), X.nbytes) <= 4.5
+
+    # the bounds are the peaks of the accumulate-into-zeros gradients, except
+    # at width 1000 with hybrid 0: there the zeroed dW (one batch array) is gone
+    @pytest.mark.parametrize(
+        "widths, hybrid_weight, bound",
+        [((32, 32, 32), 0.0, 0.30), ((32, 32, 32), 0.2, 1.24), ((1000,), 0.0, 3.9), ((1000,), 0.2, 6.84)],
+    )
+    def test_network_gradient_peaks(self, rng, widths, hybrid_weight, bound):
+        X = rng.random((self.ROWS, self.DIMS))
+        batch = DataBatch(0, X, np.eye(3)[rng.integers(0, 3, self.ROWS)])
+        net = network.init_network(self.DIMS, widths, 3, rng)
+        fwd = forward(net, X)
+        peak = peak_in_batch_arrays(lambda: network_gradients(net, batch, hybrid_weight, fwd), X.nbytes)
+        assert peak <= bound
+
+    def test_dae_gradient_peak(self, rng):
+        X = rng.random((self.ROWS, self.DIMS))
+        layer = network.init_network(self.DIMS, (1000,), 3, rng).layers[0]
+        noisy = corrupt(X, 0.2, rng)
+        assert peak_in_batch_arrays(lambda: dae_gradients(layer, X, noisy), X.nbytes) <= 7.11
