@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -51,10 +52,8 @@ def _fmt_summary(tag: str, summary) -> str:
 
 
 def _suffixed(path: str, policy: str, seed: int) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return f"{path}_{policy}_s{seed}"
-    return f"{stem}_{policy}_s{seed}.{ext}"
+    stem, ext = os.path.splitext(path)
+    return f"{stem}_{policy}_s{seed}{ext}"
 
 
 def _report_problems(path: str, problems: list[str]) -> int:

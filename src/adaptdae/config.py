@@ -156,6 +156,8 @@ def validate_experiment(cfg: ExperimentConfig) -> list[str]:
     problems = []
     if cfg.policy not in POLICIES:
         problems.append(f"policy must be one of {'/'.join(POLICIES)}, got {cfg.policy!r}")
+    if cfg.seed < 0:
+        problems.append("seed must be non-negative")
     if not 0.0 < cfg.test_fraction < 1.0:
         problems.append("test_fraction must be in (0, 1)")
     if cfg.summary_last < 1:

@@ -299,8 +299,7 @@ def select_action(q_values: dict, n: int, cfg: ControllerConfig, rng: np.random.
 class ControlDecision:
     state: RlState | None
     kind: ActionKind
-    delta_inc: int
-    delta_mrg: int
+    delta: int  # nodes added if positive, pairs merged if negative
     q_values: dict | None = None
     reward: float | None = None
 
@@ -331,12 +330,13 @@ class RlController:
         During warmup nothing is learned and the answer is always Pool.
         After that: compute the state, credit the previous action with the
         reward earned since, refit on schedule, pick the next action and
-        size it, cut so that the width stays inside the
+        size it as a signed ``delta``: nodes added, or minus the pairs
+        merged, cut so that the width stays inside the
         ``size_low``..``size_high`` corridor around the initial width.
         """
         cfg, q, h = self.cfg, self.q, self.history
         if n < cfg.warmup_batches:
-            return ControlDecision(state=None, kind=ActionKind.POOL, delta_inc=0, delta_mrg=0)
+            return ControlDecision(state=None, kind=ActionKind.POOL, delta=0)
         state = compute_state(h, cfg)
         reward = None
         if self.prev_state is not None:
@@ -347,14 +347,10 @@ class RlController:
         q_values = q.predictions(state)
         kind = select_action(q_values, n, cfg, self.rng)
         self.prev_state, self.prev_action = state, kind
-        delta = 0 if h.cls_prev is None else compute_delta(h.cls, h.cls_prev, h.ratio, cfg)
-        ceiling = math.floor(cfg.size_high * self.initial_width)
-        floor = math.ceil(cfg.size_low * self.initial_width)
-        return ControlDecision(
-            state=state,
-            kind=kind,
-            delta_inc=min(delta, max(0, ceiling - self.width)) if kind is ActionKind.INCREMENT else 0,
-            delta_mrg=min(delta, self.width // 2, max(0, self.width - floor)) if kind is ActionKind.MERGE else 0,
-            q_values=q_values,
-            reward=reward,
-        )
+        size = 0 if h.cls_prev is None else compute_delta(h.cls, h.cls_prev, h.ratio, cfg)
+        delta = 0
+        if kind is ActionKind.INCREMENT:
+            delta = min(size, max(0, math.floor(cfg.size_high * self.initial_width) - self.width))
+        elif kind is ActionKind.MERGE:
+            delta = -min(size, self.width // 2, max(0, self.width - math.ceil(cfg.size_low * self.initial_width)))
+        return ControlDecision(state=state, kind=kind, delta=delta, q_values=q_values, reward=reward)

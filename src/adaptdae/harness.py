@@ -189,7 +189,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
     for n, batch in enumerate(batches):
         t0 = time.perf_counter()
         # measured before anything trained on this batch; fwd is its forward
-        # under the current parameters until a structural edit drops it
+        # under the current parameters until a structural edit makes it stale
         l_gen, l_cls = next_eval
         assert batch.seq_id not in trained_ids, "evaluation must precede training"
         histograms.append(batch.class_histogram())
@@ -197,6 +197,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
 
         action = ""
         delta = 0
+        edited = False
         reward = None
         q_values = None
         if cfg.policy == "radae":
@@ -206,31 +207,27 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
             controller.observe(l_gen, l_cls, net.layers[0].n_hidden, kl)
             decision = controller.decide(n)
             action = decision.kind.value
+            delta = decision.delta
             reward = decision.reward
             q_values = decision.q_values
             if decision.kind is ActionKind.POOL:
                 diverse = list(pools.diverse)
                 trained_ids.update(b.seq_id for b in diverse)
                 pool_finetune(net, diverse, cfg.nn.hybrid_weight)
-                fwd = None
-            elif decision.delta_inc > 0:
+            elif delta > 0:
                 recent = list(pools.recent)
                 trained_ids.update(b.seq_id for b in recent)
-                increment_nodes(net, decision.delta_inc, recent, train_rng)
-                delta = decision.delta_inc
-                fwd = None
-            elif decision.delta_mrg > 0:
-                merge_nodes(net, decision.delta_mrg)
-                delta = -decision.delta_mrg
-                fwd = None
-        if cfg.policy == "midae":
-            before = net.layers[0].n_hidden
-            event = merge_inc_step(net, batch, pools, midae_state, train_rng, cfg.nn.hybrid_weight, fwd)
+                increment_nodes(net, delta, recent, train_rng)
+            elif delta < 0:
+                merge_nodes(net, -delta)
+            # an increment or merge sized to 0 is a no-op
+            edited = decision.kind is ActionKind.POOL or delta != 0
+        elif cfg.policy == "midae":
+            event = merge_inc_step(net, batch, pools, midae_state, train_rng, fwd)
             if event is not None:
-                action = "event"
-                delta = net.layers[0].n_hidden - before
-        else:  # sdae keeps its structure; radae acted above
-            finetune(net, batch, cfg.nn.hybrid_weight, fwd)
+                # an event edits the parameters even when the width stays the same
+                action, delta, edited = "event", event.added - event.merged, True
+        finetune(net, batch, cfg.nn.hybrid_weight, None if edited else fwd)
         trained_ids.add(batch.seq_id)
 
         fwd = None  # stale now that the batch trained; free it before the next

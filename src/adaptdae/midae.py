@@ -4,8 +4,8 @@ Every batch contributes its above-average-loss examples to the hard pool.
 Once the pool overflows its threshold, the network merges a fixed fraction
 of node pairs, grows by the current step size, trains only the new nodes on
 the hard examples, adapts the step size from the error trend, and starts
-the pool over.  The batch itself is always fine-tuned with the hybrid
-objective afterwards.
+the pool over.  The step ends at the structural event: the harness then
+fine-tunes the batch with the hybrid objective, as under every policy.
 """
 
 from __future__ import annotations
@@ -15,15 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import (
-    DataBatch,
-    Forward,
-    Network,
-    finetune,
-    forward,
-    mean_discriminative_loss,
-    per_example_reconstruction_loss,
-)
+from .network import DataBatch, Forward, Network, forward, mean_discriminative_loss, per_example_reconstruction_loss
+from .network import finetune  # noqa: F401  a module attribute here only: the benchmark wraps it
 from .pools import PoolSet, update_hard
 from .structure import increment_nodes, merge_nodes
 
@@ -90,35 +83,30 @@ def merge_inc_step(
     pools: PoolSet,
     state: MiDaeState,
     rng: np.random.Generator,
-    hybrid_weight: float = 0.2,
     fwd: Forward | None = None,
 ) -> MiDaeEvent | None:
-    """One streaming step; returns the structural event if one fired.
+    """One streaming step up to the structural event; returns the event if
+    one fired.  It does not fine-tune on the batch.
 
     ``fwd`` is a forward of the batch under the current parameters, if the
-    caller has one.  The losses and the fine-tune share it, unless an
-    event edits the network in between.
+    caller has one; the losses read it.
     """
     if fwd is None:
         fwd = forward(net, batch.inputs)
     losses = per_example_reconstruction_loss(net, batch.inputs, fwd)
     objective = mean_discriminative_loss(net, batch, fwd)
     update_hard(pools, batch, losses)
+    if pools.hard_count() <= state.pool_threshold:
+        return None
 
-    event = None
-    if pools.hard_count() > state.pool_threshold:
-        added = state.delta_nodes
-        merged = 0
-        if added > 0:
-            merged = min(math.ceil(state.cfg.merge_ratio * added), net.layers[0].n_hidden // 2)
-            merge_nodes(net, merged)
-            increment_nodes(net, added, [pools.hard_as_batch(batch.seq_id)], rng)
-        if state.prev_objective is not None:
-            update_rule(state, objective, state.prev_objective)
-        state.prev_objective = objective
-        pools.clear_hard()
-        event = MiDaeEvent(added=added, merged=merged)
-        fwd = None
-
-    finetune(net, batch, hybrid_weight, fwd)
-    return event
+    added = state.delta_nodes
+    merged = 0
+    if added > 0:
+        merged = min(math.ceil(state.cfg.merge_ratio * added), net.layers[0].n_hidden // 2)
+        merge_nodes(net, merged)
+        increment_nodes(net, added, [pools.hard_as_batch(batch.seq_id)], rng)
+    if state.prev_objective is not None:
+        update_rule(state, objective, state.prev_objective)
+    state.prev_objective = objective
+    pools.clear_hard()
+    return MiDaeEvent(added=added, merged=merged)

@@ -53,6 +53,25 @@ class TestRun:
             for seed in (1, 2):
                 assert os.path.exists(str(tmp_path / f"t_{policy}_s{seed}.csv"))
 
+    @pytest.mark.parametrize(
+        "out, written",
+        [
+            ("runs.v2/trace", "runs.v2/trace_sdae_s{}"),
+            ("trace.csv", "trace_sdae_s{}.csv"),
+            ("trace", "trace_sdae_s{}"),
+            ("out/.trace", "out/.trace_sdae_s{}"),
+        ],
+    )
+    def test_multi_run_suffix_goes_before_the_extension(self, config_path, tmp_path, out, written):
+        # a dot in a directory name or a leading dot is not an extension
+        for directory in ("runs.v2", "out"):
+            (tmp_path / directory).mkdir()
+        argv = ["run", "--config", config_path, "--seed", "1", "2", "--policy", "sdae", "--out", str(tmp_path / out)]
+        assert main(argv) == 0
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*_s*")) == [
+            written.format(seed) for seed in (1, 2)
+        ]
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("seed = 1\nwat = 9\n")
@@ -186,6 +205,7 @@ class TestValidate:
             "midae.pool_threshold = -1",
             "stream.per_class = 1",
             "stream.per_class = 2\ntest_fraction = 0.9",
+            "seed = -1",
         ],
     )
     def test_settings_that_break_the_run_exit_2(self, config_path, capsys, line):
@@ -194,15 +214,21 @@ class TestValidate:
         # slice index, a length scale silently replaced or mirrored, a NaN
         # or infinite corridor, utilities blended away from their targets,
         # a NaN or negative spread silently read as 0, a class left without
-        # a test or a training example
+        # a test or a training example, a seed the generators refuse
         policy = {"rl": "radae", "midae": "midae"}.get(line.split(".")[0], "sdae")
         with open(config_path, "a") as f:
             f.write(f"policy = {policy}\n{line}\n")
-        attr = line.split()[0].split(".")[1]
+        attr = line.split()[0].split(".")[-1]
         assert main(["validate", "--config", config_path]) == 2
         assert attr in capsys.readouterr().err
         assert main(["run", "--config", config_path, "--out", ""]) == 2
         assert attr in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", [["-3"], ["1", "-3"]])
+    def test_negative_seed_flag_exits_2(self, config_path, capsys, seeds):
+        # used to pass validation and fail in the random generator, exit 1
+        assert main(["run", "--config", config_path, "--seed", *seeds, "--out", ""]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_negative_midae_step_exits_2(self, tmp_path, capsys):
         path = tmp_path / "midae.cfg"

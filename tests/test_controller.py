@@ -324,7 +324,7 @@ class TestControlStep:
         decision = ctrl.decide(0)
         assert decision.state is None
         assert decision.kind is ActionKind.POOL
-        assert decision.delta_inc == 0 and decision.delta_mrg == 0
+        assert decision.delta == 0
 
     def test_first_decision_after_warmup_skips_update(self):
         ctrl = RlController(cfg_with(warmup_batches=2, greedy_after=5), initial_width=10, rng=np.random.default_rng(0))
@@ -383,16 +383,16 @@ class TestControlStep:
                 obs_counts[prev_action] += 1
             if n < cfg.greedy_after:
                 assert decision.kind is rotation[(n - cfg.warmup_batches) % 3]
-            # size fields follow the selected action; the 0.5..2.0 corridor
+            # the signed size follows the selected action; the 0.5..2.0 corridor
             # around width 10 caps an increment at 10 nodes and a merge at 5
             raw = delta_raw(lc, errors[n - 1][1], 1.0, cfg)
             expected_delta = math.floor(raw + 0.5)
             if decision.kind is ActionKind.INCREMENT:
-                assert decision.delta_inc == min(expected_delta, 10) and decision.delta_mrg == 0
+                assert decision.delta == min(expected_delta, 10)
             elif decision.kind is ActionKind.MERGE:
-                assert decision.delta_mrg == min(expected_delta, 5) and decision.delta_inc == 0
+                assert decision.delta == -min(expected_delta, 5)
             else:
-                assert decision.delta_inc == 0 and decision.delta_mrg == 0
+                assert decision.delta == 0
             prev_state = decision.state
             prev_action = decision.kind
 
@@ -481,15 +481,13 @@ class TestCorridor:
     def test_increment_stops_at_the_ceiling(self, width, room):
         decision = corridor_controller(width).decide(0)  # first sweep step: increment
         assert decision.kind is ActionKind.INCREMENT
-        assert decision.delta_inc == room == max(0, math.floor(1.5 * 20) - width)
-        assert decision.delta_mrg == 0
+        assert decision.delta == room == max(0, math.floor(1.5 * 20) - width)
 
     @pytest.mark.parametrize("width, room", [(15, 0), (16, 0), (17, 1), (31, 15), (40, 20), (44, 22)])
     def test_merge_stops_at_the_floor_and_at_half_the_width(self, width, room):
         decision = corridor_controller(width).decide(1)  # second sweep step: merge
         assert decision.kind is ActionKind.MERGE
-        assert decision.delta_mrg == room == min(width // 2, max(0, width - math.ceil(0.8 * 20)))
-        assert decision.delta_inc == 0
+        assert -decision.delta == room == min(width // 2, max(0, width - math.ceil(0.8 * 20)))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -506,5 +504,8 @@ class TestCorridor:
         ctrl.observe(0.5, errors[0], w0, 0.0)
         ctrl.observe(0.5, errors[1], width, 0.0)
         decision = ctrl.decide(n)
-        assert 0 <= decision.delta_inc <= max(0, math.floor(cfg.size_high * w0) - width)
-        assert 0 <= decision.delta_mrg <= min(width // 2, max(0, width - math.ceil(cfg.size_low * w0)))
+        assert decision.kind is (ActionKind.INCREMENT, ActionKind.MERGE)[n]
+        if n == 0:
+            assert 0 <= decision.delta <= max(0, math.floor(cfg.size_high * w0) - width)
+        else:
+            assert 0 <= -decision.delta <= min(width // 2, max(0, width - math.ceil(cfg.size_low * w0)))

@@ -366,6 +366,52 @@ class TestSharedForward:
             assert {"pool", "increment", "merge"} <= actions
 
 
+def one_of_each_policy():
+    sdae = with_pool(tiny_config(policy="sdae", batches=20))
+    # grow_step 0 keeps each event at one node added and one pair merged, or
+    # none once the step halves: the parameters change, the width does not
+    midae = with_pool(tiny_config(policy="midae", batches=20))
+    midae.midae.pool_threshold, midae.midae.delta_init, midae.midae.grow_step = 30, 1, 0
+    # pools, a grow, merges and merges sized to 0
+    radae = with_pool(tiny_config(policy="radae", batches=20, delta_scale=30.0))
+    return sdae, midae, radae
+
+
+def finetune_calls(monkeypatch, cfg):
+    """Run ``cfg``; return its records and, per ``harness.finetune`` call,
+    the batch it trained and whether it came without a forward."""
+    calls = []
+    real = harness.finetune
+
+    def spying(net, batch, hybrid_weight, fwd):
+        calls.append((batch.seq_id, fwd is None))
+        return real(net, batch, hybrid_weight, fwd)
+
+    monkeypatch.setattr(harness, "finetune", spying)
+    return run_experiment(cfg).records, calls
+
+
+class TestOneFinetunePerBatch:
+    """Every policy fine-tunes each batch at one call site, which alone
+    decides whether the batch's forward is still valid."""
+
+    def test_each_batch_is_finetuned_once_in_order(self, monkeypatch):
+        for cfg in one_of_each_policy():
+            _, calls = finetune_calls(monkeypatch, cfg)
+            assert [seq_id for seq_id, _ in calls] == list(range(cfg.stream.batches)), cfg.policy
+
+    def test_forward_is_dropped_exactly_after_structural_edits(self, monkeypatch):
+        for cfg in one_of_each_policy():
+            records, calls = finetune_calls(monkeypatch, cfg)
+            edited = [r.action in ("pool", "event") or r.delta != 0 for r in records]
+            assert [dropped for _, dropped in calls] == edited, cfg.policy
+            moves = {(r.action, (r.delta > 0) - (r.delta < 0)) for r in records}
+            if cfg.policy == "midae":
+                assert ("event", 0) in moves
+            if cfg.policy == "radae":
+                assert {("pool", 0), ("increment", 1), ("merge", -1), ("merge", 0)} <= moves
+
+
 class TestNumericalBreakdown:
     def test_non_finite_evaluation_names_the_batch(self, monkeypatch):
         real_finetune = harness.finetune

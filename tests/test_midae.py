@@ -120,7 +120,9 @@ class TestMergeIncStep:
         state = fresh_state(pool_threshold=10**9)
         rng = np.random.default_rng(9)
         for b in batches:
-            merge_inc_step(net_a, b, pools, state, rng, hybrid_weight=0.2)
+            # the step only reads the batch until an event fires
+            assert merge_inc_step(net_a, b, pools, state, rng) is None
+            finetune(net_a, b, hybrid_weight=0.2)
             finetune(net_b, b, hybrid_weight=0.2)
         for la, lb in zip(net_a.layers, net_b.layers):
             assert np.array_equal(la.W, lb.W)
@@ -149,9 +151,12 @@ class TestSharedForward:
         events = 0
         for i in range(15):
             batch = make_batch(data, 8, 5, 3, seq_id=i)
-            # the forward handed in is stale once an event edits the network
-            ev_a = merge_inc_step(net_a, batch, pools_a, state_a, rng_a, fwd=forward(net_a, batch.inputs))
+            # as the harness does: the forward is stale once an event edits the network
+            fwd = forward(net_a, batch.inputs)
+            ev_a = merge_inc_step(net_a, batch, pools_a, state_a, rng_a, fwd)
+            finetune(net_a, batch, 0.2, None if ev_a else fwd)
             ev_b = merge_inc_step(net_b, batch, pools_b, state_b, rng_b)
+            finetune(net_b, batch, 0.2)
             assert ev_a == ev_b
             events += ev_a is not None
             assert all(np.array_equal(a, b) for a, b in zip(params(net_a), params(net_b)))

@@ -1,13 +1,14 @@
-"""Trace digests of a fixed set of 34 configs: a refactor's "traces unchanged" check.
+"""Trace digests of a fixed set of 33 configs: a refactor's "traces unchanged" check.
 
     python3 tools/trace_digests.py [--root DIR]
 
 Runs every config of the set, one after another in this process, with the
 library of the checkout at DIR (default: this one), and prints one
 ``name digest`` line per config.  A digest is the sha256 of the trace with
-its ``wall_ms`` column dropped, as ``perfbench/child.py`` computes it.  To
-check that a change leaves every trace as it was, run it on both checkouts
-and compare:
+its ``wall_ms`` column dropped, as ``perfbench/child.py`` computes it.  Two
+configs with one digest cover the same behaviour twice, so the tool names
+them and exits 1 after printing every line.  To check that a change leaves
+every trace as it was, run it on both checkouts and compare:
 
     git archive PARENT | tar -x -C ../parent
     python3 tools/trace_digests.py --root ../parent > parent.txt
@@ -15,13 +16,14 @@ and compare:
     diff parent.txt change.txt
 
 The set is built from DIR's ``configs/desk.cfg`` and ``perfbench/run.py``:
-desk seeds 1-3 under every policy; radae at ``rl.state_space`` 1, 2 and 4,
-each also with ``rl.ema_alpha = none``; radae in a tight size corridor at
-seeds 1 and 2; radae with the controller's defaults (desk.cfg without its
-``rl.*`` lines) in state spaces 3 and 1; every benchmark workload at
-sub-seeds 1000 and 1001; and every policy with pre-training, with a
-one-layer net and with the label loss alone.  One BLAS thread, as the
-benchmark uses.  A full pass takes about 20 s on a 2-vCPU host.
+desk seeds 1-3 under every policy; radae at ``rl.state_space`` 1, 2 and 4;
+radae with ``rl.ema_alpha = none`` in spaces 3 and 4, the only ones that
+read it; radae in a tight size corridor at seeds 1 and 2; radae with the
+controller's defaults (desk.cfg without its ``rl.*`` lines) in state
+spaces 3 and 1; every benchmark workload at sub-seeds 1000 and 1001; and
+every policy with pre-training, with a one-layer net and with the label
+loss alone.  One BLAS thread, as the benchmark uses.  A full pass takes
+about 20 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ def trace_configs(root: Path = ROOT) -> dict[str, str]:
     configs = {f"desk-{p}-s{s}": cfg(p, s) for s in (1, 2, 3) for p in POLICIES}
     for space in (1, 2, 4):
         configs[f"radae-space{space}"] = cfg("radae", 1, f"rl.state_space = {space}")
+    for space in (3, 4):
         configs[f"radae-space{space}-ema-none"] = cfg("radae", 1, f"rl.state_space = {space}", "rl.ema_alpha = none")
     for s in (1, 2):
         configs[f"radae-tight-s{s}"] = cfg("radae", s, "rl.delta_scale = 60", "rl.size_low = 0.9", "rl.size_high = 1.3")
@@ -85,6 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     if not Path(adaptdae.__file__).resolve().is_relative_to(root):
         raise SystemExit(f"adaptdae loaded from {adaptdae.__file__}, not from {root}")
 
+    by_digest: dict[str, list[str]] = {}
     with tempfile.TemporaryDirectory() as work:
         for name, text in configs.items():
             cfg = parse_config(text)
@@ -93,8 +97,13 @@ def main(argv: list[str] | None = None) -> int:
                 raise SystemExit(f"{name}: {'; '.join(problems)}")
             out = str(Path(work) / f"{name}.csv")
             run_experiment(cfg, out_path=out)
-            print(name, trace_digest(out), flush=True)
-    return 0
+            digest = trace_digest(out)
+            by_digest.setdefault(digest, []).append(name)
+            print(name, digest, flush=True)
+    repeats = [names for names in by_digest.values() if len(names) > 1]
+    for names in repeats:
+        print(f"equal digests: {' '.join(names)}", file=sys.stderr)
+    return 1 if repeats else 0
 
 
 if __name__ == "__main__":
