@@ -12,7 +12,7 @@ from .controller import ControllerConfig, QModel, RlController, RlState
 from .gp import GprModel
 from .network import DataBatch, Layer, Network, batch_errors, finetune, init_network, predict
 from .pools import PoolSet
-from .stream import LabeledSource, StreamSpec, build_stream, load_idx, synth_dataset
+from .stream import LabeledSource, StreamSpec, build_stream, iter_stream, load_idx, synth_dataset
 from .structure import ActionKind
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "build_stream",
     "finetune",
     "init_network",
+    "iter_stream",
     "load_idx",
     "parse_config",
     "predict",

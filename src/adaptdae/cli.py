@@ -69,17 +69,17 @@ def _cmd_run(args) -> int:
     seeds = args.seed if args.seed else [cfg.seed]
     policies = args.policy if args.policy else [cfg.policy]
     base_out = args.out if args.out is not None else cfg.out
-    multi = len(seeds) * len(policies) > 1
-    for policy in policies:
-        for seed in seeds:
-            run_cfg = replace(cfg, policy=policy, seed=seed)
-            problems = validate_experiment(run_cfg)
-            if problems:
-                return _report_problems(args.config, problems)
-            out = _suffixed(base_out, policy, seed) if multi and base_out else base_out
-            result = run_experiment(run_cfg, out_path=out)
-            where = f" -> {result.trace_path}" if result.trace_path else ""
-            print(_fmt_summary(f"policy={policy} seed={seed}", result.summary) + where)
+    runs = [replace(cfg, policy=policy, seed=seed) for policy in policies for seed in seeds]
+    # every run's config is checked first, so exit 2 means that nothing ran
+    for run_cfg in runs:
+        problems = validate_experiment(run_cfg)
+        if problems:
+            return _report_problems(args.config, problems)
+    for run_cfg in runs:
+        out = _suffixed(base_out, run_cfg.policy, run_cfg.seed) if len(runs) > 1 and base_out else base_out
+        result = run_experiment(run_cfg, out_path=out)
+        where = f" -> {result.trace_path}" if result.trace_path else ""
+        print(_fmt_summary(f"policy={run_cfg.policy} seed={run_cfg.seed}", result.summary) + where)
     return 0
 
 

@@ -7,15 +7,19 @@ one exception is the first ``nn.pretrain_batches`` batches: the network is
 pre-trained, unsupervised, on their inputs before batch 0, so they are
 evaluated after that.  The global error is measured on a class-balanced
 held-out split after every batch.  Runs with the same seed share the
-stream and the initial network across policies.
+stream and the initial network across policies.  A background thread draws
+the batches into a queue bounded in bytes while the loop trains.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import threading
 import time
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -25,7 +29,7 @@ from .controller import RlController, window_kl
 from .midae import MiDaeState, merge_inc_step
 from .network import DataBatch, Forward, Network, batch_errors, finetune, forward, init_network, predict, pretrain_layer
 from .pools import PoolSet, update_diverse, update_recent
-from .stream import LabeledSource, build_stream, load_idx, synth_dataset
+from .stream import LabeledSource, StreamSpec, iter_stream, load_idx, synth_dataset
 from .structure import ActionKind, increment_nodes, merge_nodes, pool_finetune
 
 
@@ -128,17 +132,117 @@ def _build_source(cfg: ExperimentConfig, rng: np.random.Generator) -> LabeledSou
     return synth_dataset(cfg.stream.classes, cfg.stream.dims, cfg.per_class, rng, cfg.spread)
 
 
-def prepare_data(cfg: ExperimentConfig):
-    """Build the batch stream and test split; a pure function of the seed,
-    so every policy sees identical data."""
+def _open_stream(cfg: ExperimentConfig) -> tuple[StreamSpec, Iterator[DataBatch], np.ndarray, np.ndarray]:
+    """The stream spec, the batch iterator and the test split; a pure
+    function of the seed, so every policy sees identical data."""
     stream_rng = np.random.default_rng([cfg.seed, 0])
     source = _build_source(cfg, stream_rng)
     spec = cfg.stream
     if cfg.kind == "idx":
         spec = replace(spec, classes=source.classes, dims=source.dims)
     train_source, test_x, test_y = split_source(source, cfg.test_fraction, stream_rng)
-    batches = build_stream(train_source, spec, stream_rng)
-    return spec, batches, test_x, test_y
+    return spec, iter_stream(train_source, spec, stream_rng), test_x, test_y
+
+
+def prepare_data(cfg: ExperimentConfig):
+    """Build the whole batch stream and the test split: the data of a run,
+    materialised."""
+    spec, batches, test_x, test_y = _open_stream(cfg)
+    return spec, list(batches), test_x, test_y
+
+
+# The prefetch queue's bound: two 1000 x 784 batches and a half.  On that
+# stream, on 2 vCPUs, bounds of 8 to 128 MiB ran the loop equally fast;
+# each step up added set-up time, resident memory and page faults on the
+# drawing thread (BENCH_13.json).
+PREFETCH_BYTES = 16 << 20
+
+# glibc gives the free top of its heap back to the system once it exceeds
+# twice the mmap threshold, and raises that threshold to the size of any
+# mmapped block freed, up to 32 MiB (mallopt(3), "dynamic mmap threshold").
+# At 1000 x 784 the loop's 6.3 MB temporaries passed that line after every
+# batch, so the loop faulted their pages in afresh each time.  Freeing one
+# mmapped block just under the cap lets the heap keep them; elsewhere this
+# is one allocation and nothing more.
+_MMAP_THRESHOLD_RAISE = 31 << 20
+
+
+def _batch_bytes(batch: DataBatch) -> int:
+    return batch.inputs.nbytes + batch.labels.nbytes
+
+
+class _Prefetch:
+    """Batches drawn on one daemon thread into a queue bounded in bytes.
+
+    The queue always takes one batch, however large.  Iterating yields the
+    batches in order; an error raised while drawing is raised again, with
+    its type, once the batches before it are taken.  ``close`` stops the
+    thread and joins it.
+    """
+
+    def __init__(self, batches: Iterator[DataBatch], limit: int):
+        self._cond = threading.Condition()
+        self._queue: deque[DataBatch] = deque()
+        self._bytes = 0
+        self._limit = limit
+        self._waiting = False  # the producer waits for room
+        self._ended = False
+        self._closed = False
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(target=self._produce, args=(batches,), name="adaptdae-stream", daemon=True)
+        self._thread.start()
+
+    def _produce(self, batches: Iterator[DataBatch]) -> None:
+        error = None
+        try:
+            for batch in batches:
+                size = _batch_bytes(batch)
+                with self._cond:
+                    while self._queue and self._bytes + size > self._limit and not self._closed:
+                        self._waiting = True
+                        self._cond.notify_all()
+                        self._cond.wait()
+                    self._waiting = False
+                    if self._closed:
+                        return
+                    self._queue.append(batch)
+                    self._bytes += size
+                    if len(self._queue) == 1:  # the consumer may wait for it
+                        self._cond.notify_all()
+                del batch  # the queue's reference is the only one
+        except BaseException as err:  # raised again on the consumer's thread
+            error = err
+        finally:
+            with self._cond:
+                self._error = error
+                self._ended = True
+                self._cond.notify_all()
+
+    def wait_full(self) -> None:
+        """Block until the queue is full or the stream has ended."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._waiting or self._ended)
+
+    def __iter__(self) -> Iterator[DataBatch]:
+        while True:
+            with self._cond:
+                self._cond.wait_for(lambda: self._queue or self._ended)
+                if not self._queue:
+                    if self._error is not None:
+                        raise self._error
+                    return
+                batch = self._queue.popleft()
+                self._bytes -= _batch_bytes(batch)
+                if self._waiting:
+                    self._cond.notify_all()
+            yield batch
+            del batch
+
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+        self._thread.join()
 
 
 def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunResult:
@@ -151,11 +255,32 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
     if problems:
         raise ValueError("; ".join(problems))
 
+    np.empty(_MMAP_THRESHOLD_RAISE, dtype=np.uint8)  # freed at once: see above
+    spec, batches, test_x, test_y = _open_stream(cfg)
+    # drawn on a second thread: a stream that fits the queue is drawn whole
+    # here, in set-up, and a longer one while the loop trains
+    stream = _Prefetch(batches, PREFETCH_BYTES)
+    try:
+        stream.wait_full()
+        records = _run_batches(cfg, spec, iter(stream), test_x, test_y)
+    finally:
+        stream.close()
+
+    summary = summarize(records, cfg.summary_last)
+    path = cfg.out if out_path is None else out_path
+    if path:
+        write_trace(path, records)
+    return RunResult(records=records, summary=summary, trace_path=path or None)
+
+
+def _run_batches(
+    cfg: ExperimentConfig, spec: StreamSpec, batches: Iterator[DataBatch], test_x: np.ndarray, test_y: np.ndarray
+) -> list[TraceRecord]:
+    """Build the network and the policy, then pass over the batches once,
+    taking each batch one ahead of its training."""
     init_rng = np.random.default_rng([cfg.seed, 1])
     train_rng = np.random.default_rng([cfg.seed, 2])
     ctrl_rng = np.random.default_rng([cfg.seed, 3])
-
-    spec, batches, test_x, test_y = prepare_data(cfg)
 
     net = init_network(
         spec.dims,
@@ -166,9 +291,11 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
         corruption_p=cfg.nn.corruption,
     )
     if cfg.nn.pretrain_batches > 0:
-        warm = batches[: cfg.nn.pretrain_batches]
+        warm = list(itertools.islice(batches, cfg.nn.pretrain_batches))
         for layer_index in range(len(net.layers)):
             pretrain_layer(net, layer_index, warm, cfg.nn.pretrain_epochs, train_rng)
+        batches = itertools.chain(warm, batches)
+        del warm  # the chain lets go of the warm batches once past them
 
     pools = PoolSet(capacity=cfg.pool.capacity, distance_threshold=cfg.pool.distance_threshold)
     controller = None
@@ -184,9 +311,10 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
     # the newest label histogram and the ema_window ones before it
     histograms: deque[np.ndarray] = deque(maxlen=cfg.rl.ema_window + 1)
     trained_ids: set[int] = set()
-    fwd, next_eval = _evaluate_upcoming(net, batches[0], 0)
+    batch = next(batches)
+    fwd, next_eval = _evaluate_upcoming(net, batch, 0)
 
-    for n, batch in enumerate(batches):
+    for n in range(spec.batches):
         t0 = time.perf_counter()
         # measured before anything trained on this batch; fwd is its forward
         # under the current parameters until a structural edit makes it stale
@@ -231,12 +359,13 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
         trained_ids.add(batch.seq_id)
 
         fwd = None  # stale now that the batch trained; free it before the next
-        if n + 1 < len(batches):
-            assert batches[n + 1].seq_id not in trained_ids, "evaluation must precede training"
-            fwd, next_eval = _evaluate_upcoming(net, batches[n + 1], n + 1)
+        if n + 1 < spec.batches:
+            following = next(batches)
+            assert following.seq_id not in trained_ids, "evaluation must precede training"
+            fwd, next_eval = _evaluate_upcoming(net, following, n + 1)
             e_lcl = next_eval[1]
         else:
-            e_lcl = None
+            following, e_lcl = None, None
         e_glb = eval_global(net, test_x, test_y)
         wall_ms = (time.perf_counter() - t0) * 1000.0
 
@@ -258,12 +387,8 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
                 wall_ms=wall_ms,
             )
         )
-
-    summary = summarize(records, cfg.summary_last)
-    path = cfg.out if out_path is None else out_path
-    if path:
-        write_trace(path, records)
-    return RunResult(records=records, summary=summary, trace_path=path or None)
+        batch = following
+    return records
 
 
 def summarize(records: list[TraceRecord], last: int) -> Summary:

@@ -3,13 +3,15 @@
 Ratio curves come from a Gaussian process over batch time, pushed through a
 softmax so they form a distribution at every step; per-batch class counts
 follow largest-remainder rounding so every batch has exactly the requested
-size.  Sources are either synthetic Gaussian blobs or IDX image files.
+size.  Batches are drawn one at a time, so a stream need not be held whole.
+Sources are either synthetic Gaussian blobs or IDX image files.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,10 +139,17 @@ def _ratio_schedule(spec: StreamSpec, rng: np.random.Generator) -> np.ndarray:
     return np.vstack([class_ratios(curves, t) for t in range(spec.batches)])
 
 
-def build_stream(
+def iter_stream(
     source: LabeledSource, spec: StreamSpec, rng: np.random.Generator | None = None
-) -> list[DataBatch]:
-    """Materialise the whole batch sequence; bitwise reproducible per seed."""
+) -> Iterator[DataBatch]:
+    """The batch sequence, drawn one batch at a time; bitwise reproducible per seed.
+
+    The checks and the ratio schedule run when this is called; each batch
+    is drawn when it is asked for, with ``build_stream``'s draws in the same
+    order.  A batch allocates only its own ``inputs`` and ``labels``: the
+    class blocks, the mask-noise draws and the mask live in scratch buffers
+    reused across batches.
+    """
     spec.validate()
     source.validate()
     if source.classes != spec.classes:
@@ -150,27 +159,46 @@ def build_stream(
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     schedule = _ratio_schedule(spec, rng)
+    return _draw_batches(source, spec, schedule, rng)
+
+
+def _draw_batches(
+    source: LabeledSource, spec: StreamSpec, schedule: np.ndarray, rng: np.random.Generator
+) -> Iterator[DataBatch]:
+    # gathered rows are cast to float64 either way; a float64 store is not copied
+    stores = [np.asarray(store, dtype=np.float64) for store in source.examples]
     eye = np.eye(spec.classes)
-    batches = []
+    stacked = np.empty((spec.batch_size, spec.dims))
+    noise = np.empty_like(stacked)
+    mask = np.empty(stacked.shape, dtype=bool)
     for t in range(spec.batches):
         counts = largest_remainder_counts(schedule[t], spec.batch_size)
-        xs, ys = [], []
+        start = 0
         for k, c in enumerate(counts):
             if c == 0:
                 continue
-            store = source.examples[k]
-            # the fancy index already copies, so a float64 store is not copied again
-            x = store[rng.integers(0, store.shape[0], size=c)].astype(np.float64, copy=False)
+            rows = slice(start, start + c)
+            start += c
+            store = stores[k]
+            # indices are drawn in range, so "clip" never clips; it spares the
+            # buffered copy that take makes into ``out`` under "raise"
+            np.take(store, rng.integers(0, store.shape[0], size=c), axis=0, out=stacked[rows], mode="clip")
             if spec.mask_noise > 0:
-                mask = rng.random(x.shape) < spec.mask_noise
-                x = np.where(mask, rng.random(x.shape), x)
-            xs.append(x)
-            ys.append(np.tile(eye[k], (c, 1)))
+                # the mask is read off the first draw before the second overwrites it
+                rng.random(out=noise[rows])
+                np.less(noise[rows], spec.mask_noise, out=mask[rows])
+                rng.random(out=noise[rows])
+                np.putmask(stacked[rows], mask[rows], noise[rows])
         perm = rng.permutation(spec.batch_size)
-        batches.append(
-            DataBatch(seq_id=t, inputs=np.vstack(xs)[perm], labels=np.vstack(ys)[perm])
-        )
-    return batches
+        classes_of_rows = np.repeat(np.arange(spec.classes), counts)
+        yield DataBatch(seq_id=t, inputs=stacked[perm], labels=eye[classes_of_rows[perm]])
+
+
+def build_stream(
+    source: LabeledSource, spec: StreamSpec, rng: np.random.Generator | None = None
+) -> list[DataBatch]:
+    """Materialise the whole batch sequence; bitwise reproducible per seed."""
+    return list(iter_stream(source, spec, rng))
 
 
 def synth_dataset(

@@ -79,6 +79,13 @@ class TestRun:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_a_later_bad_run_stops_every_run_before_it_starts(self, config_path, tmp_path, capsys):
+        # seed 1 is fine and seed -3 is not: exit 2 means that nothing ran
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", config_path, "--seed", "1", "-3", "--out", str(out)]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert list(tmp_path.glob("o*")) == []
+
     def test_invalid_values_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("policy = nonsense\n")

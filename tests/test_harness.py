@@ -1,5 +1,9 @@
+import itertools
 import math
 import re
+import sys
+import threading
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -410,6 +414,135 @@ class TestOneFinetunePerBatch:
                 assert ("event", 0) in moves
             if cfg.policy == "radae":
                 assert {("pool", 0), ("increment", 1), ("merge", -1), ("merge", 0)} <= moves
+
+
+def one_batch_bytes(cfg):
+    spec = cfg.stream
+    return spec.batch_size * (spec.dims + spec.classes) * 8
+
+
+class LiveBatches:
+    """Wraps ``harness.iter_stream``: counts the batches drawn and those
+    drawn but not yet released, and keeps the peak of the latter.  Also
+    notes how many were drawn when set-up ends, at ``init_network``."""
+
+    def __init__(self, monkeypatch):
+        self.lock = threading.Lock()
+        self.drawn = self.live = self.peak = 0
+        self.drawn_at_setup = []
+        real_stream, real_init = harness.iter_stream, harness.init_network
+        monkeypatch.setattr(harness, "iter_stream", lambda *args: map(self._track, real_stream(*args)))
+
+        def init_network(*args, **kwargs):
+            self.drawn_at_setup.append(self.drawn)
+            return real_init(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "init_network", init_network)
+
+    def _track(self, batch):
+        with self.lock:
+            self.drawn += 1
+            self.live += 1
+            self.peak = max(self.peak, self.live)
+        weakref.finalize(batch, self._release)
+        return batch
+
+    def _release(self):
+        with self.lock:
+            self.live -= 1
+
+
+def producer_threads():
+    return [t for t in threading.enumerate() if t.name == "adaptdae-stream"]
+
+
+class TestPrefetch:
+    """The batches are drawn on a background thread into a queue bounded in
+    bytes; here the bound is cut to one batch, so the loop overlaps it."""
+
+    @pytest.mark.parametrize("policy", ["sdae", "midae", "radae"])
+    def test_a_one_batch_queue_changes_no_trace(self, monkeypatch, policy):
+        cfg = with_pool(tiny_config(policy=policy, seed=4, batches=15), capacity=60)
+        cfg.midae.pool_threshold = 30
+        cfg.nn.pretrain_batches = 3
+        buffered = run_experiment(cfg)
+        monkeypatch.setattr(harness, "PREFETCH_BYTES", one_batch_bytes(cfg))
+        streamed = run_experiment(cfg)
+        assert comparable(streamed.records) == comparable(buffered.records)
+
+    def test_a_run_holds_a_bounded_number_of_batches(self, monkeypatch):
+        cfg = with_pool(tiny_config(policy="sdae", batches=60))
+        monkeypatch.setattr(harness, "PREFETCH_BYTES", one_batch_bytes(cfg))
+        counter = LiveBatches(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter between the threads as often as it can
+        try:
+            run_experiment(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        # set-up waited for a full queue: one batch queued, the next in hand
+        assert counter.drawn_at_setup == [2]
+        assert counter.drawn == 60 and counter.live == 0
+        # queued, in the producer's hand, and the loop's batch and the next
+        assert counter.peak <= 4
+
+    def test_a_stream_that_fits_is_drawn_in_set_up(self, monkeypatch):
+        cfg = with_pool(tiny_config(policy="sdae", batches=30))
+        counter = LiveBatches(monkeypatch)
+        run_experiment(cfg)
+        assert counter.drawn_at_setup == [30]
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_failing_step_stops_and_joins_the_producer(self, monkeypatch, error):
+        cfg = with_pool(tiny_config(policy="sdae", batches=60))
+        monkeypatch.setattr(harness, "PREFETCH_BYTES", one_batch_bytes(cfg))
+        before = threading.active_count()
+        real_finetune = harness.finetune
+        producing = []
+
+        def failing(net, batch, *args):
+            if batch.seq_id == 5:
+                producing.append(bool(producer_threads()))
+                raise error("step failed")
+            return real_finetune(net, batch, *args)
+
+        monkeypatch.setattr(harness, "finetune", failing)
+        with pytest.raises(error, match="step failed"):
+            run_experiment(cfg)
+        assert producing == [True]  # the producer was still drawing
+        assert threading.active_count() == before
+        assert producer_threads() == []
+
+    def test_an_error_while_drawing_reaches_the_caller_with_its_type(self, monkeypatch):
+        class DrawError(Exception):
+            pass
+
+        real = harness.iter_stream
+
+        def failing_stream(*args):
+            batches = real(*args)
+
+            def draw():
+                yield from itertools.islice(batches, 4)
+                raise DrawError("no batch 4")
+
+            return draw()
+
+        monkeypatch.setattr(harness, "iter_stream", failing_stream)
+        before = threading.active_count()
+        trained = []
+        real_finetune = harness.finetune
+
+        def spying(net, batch, *args):
+            trained.append(batch.seq_id)
+            return real_finetune(net, batch, *args)
+
+        monkeypatch.setattr(harness, "finetune", spying)
+        with pytest.raises(DrawError, match="no batch 4"):
+            run_experiment(with_pool(tiny_config(policy="sdae", batches=12)))
+        # the batches before the error were delivered, in order
+        assert trained == [0, 1, 2, 3]
+        assert threading.active_count() == before
 
 
 class TestNumericalBreakdown:

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaptdae.network import DataBatch
 from adaptdae.stream import (
+    LabeledSource,
     StreamSpec,
+    _ratio_schedule,
     build_stream,
     class_ratios,
     gp_sample_curves,
+    iter_stream,
     largest_remainder_counts,
     load_idx,
     synth_dataset,
@@ -165,6 +169,107 @@ class TestBuildStream:
         source = synth_dataset(3, 6, 30, rng)
         with pytest.raises(ValueError):
             build_stream(source, StreamSpec(classes=4, dims=6), rng)
+
+
+def reference_build_stream(source, spec, rng=None):
+    """The materialising ``build_stream`` that ``iter_stream`` replaced:
+    per-class fancy-indexed blocks, ``np.where`` noise and ``vstack``."""
+    spec.validate()
+    source.validate()
+    if source.classes != spec.classes:
+        raise ValueError("source class count does not match the spec")
+    if source.dims != spec.dims:
+        raise ValueError("source dimensionality does not match the spec")
+    if rng is None:
+        rng = np.random.default_rng(spec.seed)
+    schedule = _ratio_schedule(spec, rng)
+    eye = np.eye(spec.classes)
+    batches = []
+    for t in range(spec.batches):
+        counts = largest_remainder_counts(schedule[t], spec.batch_size)
+        xs, ys = [], []
+        for k, c in enumerate(counts):
+            if c == 0:
+                continue
+            store = source.examples[k]
+            x = store[rng.integers(0, store.shape[0], size=c)].astype(np.float64, copy=False)
+            if spec.mask_noise > 0:
+                mask = rng.random(x.shape) < spec.mask_noise
+                x = np.where(mask, rng.random(x.shape), x)
+            xs.append(x)
+            ys.append(np.tile(eye[k], (c, 1)))
+        perm = rng.permutation(spec.batch_size)
+        batches.append(DataBatch(seq_id=t, inputs=np.vstack(xs)[perm], labels=np.vstack(ys)[perm]))
+    return batches
+
+
+@st.composite
+def stream_cases(draw):
+    classes = draw(st.integers(2, 5))
+    dims = draw(st.integers(1, 7))
+    batches = draw(st.integers(1, 6))
+    spec = StreamSpec(
+        classes=classes,
+        dims=dims,
+        batch_size=draw(st.integers(1, 40)),
+        batches=batches,
+        mode=draw(st.sampled_from(["stationary", "nonstationary", "switch"])),
+        gp_length_scale=draw(st.sampled_from([None, 0.5, 3.0])),
+        mask_noise=draw(st.sampled_from([0.0, 0.2, 1.0])),
+        switch_at=draw(st.none() | st.integers(0, batches)),
+        # a skew near 1 on a small batch rounds the other group's counts to 0
+        skew=draw(st.sampled_from([0.5, 0.9, 0.999])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    per_class = draw(st.lists(st.integers(1, 9), min_size=classes, max_size=classes))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    store_rng = np.random.default_rng(spec.seed)
+    source = LabeledSource([store_rng.random((n, dims)).astype(dtype) for n in per_class])
+    return source, spec
+
+
+class TestIterStream:
+    @settings(max_examples=200, deadline=None)
+    @given(case=stream_cases(), materialise=st.booleans())
+    def test_draws_equal_the_reference_byte_for_byte(self, case, materialise):
+        source, spec = case
+        rng, reference_rng = np.random.default_rng(spec.seed), np.random.default_rng(spec.seed)
+        expected = reference_build_stream(source, spec, reference_rng)
+        got = build_stream(source, spec, rng) if materialise else list(iter_stream(source, spec, rng))
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.seq_id == b.seq_id
+            for x, y in ((a.inputs, b.inputs), (a.labels, b.labels)):
+                assert (x.dtype, x.shape) == (y.dtype, y.shape)
+                assert x.tobytes() == y.tobytes()
+        # the same draws in the same order leave the generator where the reference left it
+        assert rng.random() == reference_rng.random()
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=stream_cases())
+    def test_batches_share_no_memory(self, case):
+        source, spec = case
+        batches = iter_stream(source, spec, np.random.default_rng(spec.seed))
+        kept = []
+        for batch in batches:
+            arrays = (batch.inputs, batch.labels)
+            # the generator's own arrays: the scratch buffers among them
+            scratch = [v for v in batches.gi_frame.f_locals.values() if isinstance(v, np.ndarray)]
+            assert any(v.shape == (spec.batch_size, spec.dims) for v in scratch)
+            for x in arrays:
+                assert not any(np.shares_memory(x, v) for v in scratch)
+                assert not any(np.shares_memory(x, y) for y in kept)
+            kept.extend(arrays)
+
+    def test_checks_and_schedule_run_when_called(self):
+        source = synth_dataset(3, 6, 30, np.random.default_rng(10))
+        with pytest.raises(ValueError, match="class count"):
+            iter_stream(source, StreamSpec(classes=4, dims=6))
+        rng = np.random.default_rng(11)
+        batches = iter_stream(source, StreamSpec(classes=3, dims=6, batches=4, batch_size=5), rng)
+        # the ratio curves are drawn already, before the first batch
+        assert rng.bit_generator.state != np.random.default_rng(11).bit_generator.state
+        assert len(list(batches)) == 4
 
 
 def softmax_regression_error(X, y_idx, classes, iters=400, lr=0.5):

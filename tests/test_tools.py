@@ -20,7 +20,7 @@ def load_tool():
 def test_every_trace_digest_config_validates():
     with mock.patch.dict(os.environ):  # perfbench/run.py sets the BLAS thread count
         configs = load_tool().trace_configs()
-    assert len(configs) == 33
+    assert len(configs) == 35
     for name, text in configs.items():
         assert validate_experiment(parse_config(text)) == [], name
 
