@@ -71,8 +71,13 @@ def _cmd_run(args) -> int:
     base_out = args.out if args.out is not None else cfg.out
     runs = [replace(cfg, policy=policy, seed=seed) for policy in policies for seed in seeds]
     # every run's config is checked first, so exit 2 means that nothing ran
+    seen = set()
     for run_cfg in runs:
         problems = validate_experiment(run_cfg)
+        key = (run_cfg.policy, run_cfg.seed)
+        if key in seen:  # a run is deterministic: a repeat would only rewrite its trace
+            problems.append(f"policy={key[0]} seed={key[1]} is asked for more than once")
+        seen.add(key)
         if problems:
             return _report_problems(args.config, problems)
     for run_cfg in runs:

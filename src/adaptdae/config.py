@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 from .controller import ControllerConfig
 from .midae import MiDaeConfig
-from .stream import StreamSpec
+from .stream import StreamSpec, held_out_count
 
 POLICIES = ("sdae", "midae", "radae")
 
@@ -167,8 +167,7 @@ def validate_experiment(cfg: ExperimentConfig) -> list[str]:
     if cfg.kind == "idx" and not (cfg.images and cfg.labels):
         problems.append("stream.kind=idx requires stream.images and stream.labels")
     if cfg.kind == "synth":
-        # split_source holds out max(1, round(test_fraction * n)) of a class's n examples
-        n_test = max(1, int(round(cfg.test_fraction * cfg.per_class))) if 0.0 < cfg.test_fraction < 1.0 else 1
+        n_test = held_out_count(cfg.test_fraction, cfg.per_class) if 0.0 < cfg.test_fraction < 1.0 else 1
         if cfg.per_class < 2 or n_test >= cfg.per_class:
             problems.append("stream.per_class must leave each class a test and a training example")
     if not 0.0 <= cfg.spread < math.inf:

@@ -8,7 +8,7 @@ pre-trained, unsupervised, on their inputs before batch 0, so they are
 evaluated after that.  The global error is measured on a class-balanced
 held-out split after every batch.  Runs with the same seed share the
 stream and the initial network across policies.  A background thread draws
-the batches into a queue bounded in bytes while the loop trains.
+the batches into a bounded queue while the loop trains.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import queue
 import threading
 import time
 from collections import deque
@@ -29,7 +30,7 @@ from .controller import RlController, window_kl
 from .midae import MiDaeState, merge_inc_step
 from .network import DataBatch, Forward, Network, batch_errors, finetune, forward, init_network, predict, pretrain_layer
 from .pools import PoolSet, update_diverse, update_recent
-from .stream import LabeledSource, StreamSpec, iter_stream, load_idx, synth_dataset
+from .stream import LabeledSource, StreamSpec, iter_stream, load_idx, split_source, synth_dataset
 from .structure import ActionKind, increment_nodes, merge_nodes, pool_finetune
 
 
@@ -96,34 +97,15 @@ def _evaluate_upcoming(net: Network, batch: DataBatch, index: int) -> tuple[Forw
 
 
 def eval_global(net: Network, test_inputs: np.ndarray, test_labels: np.ndarray) -> float:
-    """Mean classification error over the held-out test set."""
+    """Mean classification error over the held-out test set; NaN when the
+    read-out is not finite, since argmax of a NaN row still names a class."""
     if test_inputs.shape[0] == 0:
         raise ValueError("test set is empty")
     y_hat = predict(net, test_inputs)
+    if not np.isfinite(y_hat).all():
+        return math.nan
     hits = np.argmax(y_hat, axis=1) == np.argmax(test_labels, axis=1)
     return float(1.0 - hits.mean())
-
-
-def split_source(
-    source: LabeledSource, fraction: float, rng: np.random.Generator
-) -> tuple[LabeledSource, np.ndarray, np.ndarray]:
-    """Hold out a class-balanced test fraction from every class store."""
-    train_stores, test_x, test_y = [], [], []
-    eye = np.eye(source.classes)
-    for k, store in enumerate(source.examples):
-        n = store.shape[0]
-        n_test = max(1, int(round(fraction * n))) if n > 1 else 0
-        perm = rng.permutation(n)
-        test_idx, train_idx = perm[:n_test], perm[n_test:]
-        if train_idx.size == 0:
-            raise ValueError(f"class {k} has no training examples left after the split")
-        train_stores.append(store[train_idx])
-        if n_test:
-            test_x.append(store[test_idx])
-            test_y.append(np.tile(eye[k], (n_test, 1)))
-    if not test_x:
-        raise ValueError("test split is empty; increase per-class examples")
-    return LabeledSource(train_stores), np.vstack(test_x), np.vstack(test_y)
 
 
 def _build_source(cfg: ExperimentConfig, rng: np.random.Generator) -> LabeledSource:
@@ -151,10 +133,10 @@ def prepare_data(cfg: ExperimentConfig):
     return spec, list(batches), test_x, test_y
 
 
-# The prefetch queue's bound: two 1000 x 784 batches and a half.  On that
-# stream, on 2 vCPUs, bounds of 8 to 128 MiB ran the loop equally fast;
-# each step up added set-up time, resident memory and page faults on the
-# drawing thread (BENCH_13.json).
+# The prefetch queue holds as many batches as fit in this many bytes, and
+# at least one: two of 1000 x 784.  On that stream, on 2 vCPUs, bounds of 8
+# to 128 MiB ran the loop equally fast; each step up added set-up time,
+# resident memory and page faults on the drawing thread (BENCH_13.json).
 PREFETCH_BYTES = 16 << 20
 
 # glibc gives the free top of its heap back to the system once it exceeds
@@ -167,81 +149,56 @@ PREFETCH_BYTES = 16 << 20
 _MMAP_THRESHOLD_RAISE = 31 << 20
 
 
-def _batch_bytes(batch: DataBatch) -> int:
-    return batch.inputs.nbytes + batch.labels.nbytes
-
-
 class _Prefetch:
-    """Batches drawn on one daemon thread into a queue bounded in bytes.
+    """Batches drawn on one daemon thread into a queue of ``depth`` batches.
 
-    The queue always takes one batch, however large.  Iterating yields the
-    batches in order; an error raised while drawing is raised again, with
-    its type, once the batches before it are taken.  ``close`` stops the
-    thread and joins it.
+    Iterating yields the batches in order; an error raised while drawing is
+    raised again, with its type, once the batches before it are taken.
+    ``close`` stops the thread and joins it.
     """
 
-    def __init__(self, batches: Iterator[DataBatch], limit: int):
-        self._cond = threading.Condition()
-        self._queue: deque[DataBatch] = deque()
-        self._bytes = 0
-        self._limit = limit
-        self._waiting = False  # the producer waits for room
-        self._ended = False
-        self._closed = False
-        self._error: BaseException | None = None
+    def __init__(self, batches: Iterator[DataBatch], depth: int):
+        # the batches, then None, or the error that ended the stream early
+        self._queue: queue.Queue[DataBatch | BaseException | None] = queue.Queue(maxsize=depth)
+        self._full = threading.Event()  # the producer holds a batch it cannot queue, or is done
+        self._stopped = False
         self._thread = threading.Thread(target=self._produce, args=(batches,), name="adaptdae-stream", daemon=True)
         self._thread.start()
 
     def _produce(self, batches: Iterator[DataBatch]) -> None:
-        error = None
+        end = None
         try:
             for batch in batches:
-                size = _batch_bytes(batch)
-                with self._cond:
-                    while self._queue and self._bytes + size > self._limit and not self._closed:
-                        self._waiting = True
-                        self._cond.notify_all()
-                        self._cond.wait()
-                    self._waiting = False
-                    if self._closed:
-                        return
-                    self._queue.append(batch)
-                    self._bytes += size
-                    if len(self._queue) == 1:  # the consumer may wait for it
-                        self._cond.notify_all()
+                if self._queue.full():
+                    self._full.set()
+                self._queue.put(batch)
                 del batch  # the queue's reference is the only one
+                if self._stopped:
+                    return
         except BaseException as err:  # raised again on the consumer's thread
-            error = err
-        finally:
-            with self._cond:
-                self._error = error
-                self._ended = True
-                self._cond.notify_all()
+            end = err
+        self._full.set()
+        if not self._stopped:
+            self._queue.put(end)
 
     def wait_full(self) -> None:
-        """Block until the queue is full or the stream has ended."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._waiting or self._ended)
+        """Block until the producer holds a batch it cannot queue, or the
+        stream has ended."""
+        self._full.wait()
 
     def __iter__(self) -> Iterator[DataBatch]:
-        while True:
-            with self._cond:
-                self._cond.wait_for(lambda: self._queue or self._ended)
-                if not self._queue:
-                    if self._error is not None:
-                        raise self._error
-                    return
-                batch = self._queue.popleft()
-                self._bytes -= _batch_bytes(batch)
-                if self._waiting:
-                    self._cond.notify_all()
-            yield batch
-            del batch
+        while isinstance(item := self._queue.get(), DataBatch):
+            yield item
+            del item  # let go of the batch before waiting for the next
+        if item is not None:
+            raise item
 
     def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+        # after the stop the producer puts at most once more, so one drain
+        # leaves it room
+        self._stopped = True
+        while not self._queue.empty():
+            self._queue.get_nowait()
         self._thread.join()
 
 
@@ -259,7 +216,9 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
     spec, batches, test_x, test_y = _open_stream(cfg)
     # drawn on a second thread: a stream that fits the queue is drawn whole
     # here, in set-up, and a longer one while the loop trains
-    stream = _Prefetch(batches, PREFETCH_BYTES)
+    # every batch holds float64 inputs and one-hot float64 labels
+    batch_bytes = spec.batch_size * (spec.dims + spec.classes) * 8
+    stream = _Prefetch(batches, max(1, PREFETCH_BYTES // batch_bytes))
     try:
         stream.wait_full()
         records = _run_batches(cfg, spec, iter(stream), test_x, test_y)
@@ -367,6 +326,8 @@ def _run_batches(
         else:
             following, e_lcl = None, None
         e_glb = eval_global(net, test_x, test_y)
+        if math.isnan(e_glb):  # the last batch has no upcoming evaluation to catch it
+            raise NumericalBreakdown(f"batch {n}: held-out read-out is not finite")
         wall_ms = (time.perf_counter() - t0) * 1000.0
 
         records.append(

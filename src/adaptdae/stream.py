@@ -77,6 +77,33 @@ class LabeledSource:
                 raise ValueError("classes disagree on dimensionality")
 
 
+def held_out_count(fraction: float, n: int) -> int:
+    """The test examples ``split_source`` holds out of a class's ``n``."""
+    return max(1, int(round(fraction * n))) if n > 1 else 0
+
+
+def split_source(
+    source: LabeledSource, fraction: float, rng: np.random.Generator
+) -> tuple[LabeledSource, np.ndarray, np.ndarray]:
+    """Hold out a class-balanced test fraction from every class store."""
+    train_stores, test_x, test_y = [], [], []
+    eye = np.eye(source.classes)
+    for k, store in enumerate(source.examples):
+        n = store.shape[0]
+        n_test = held_out_count(fraction, n)
+        perm = rng.permutation(n)
+        test_idx, train_idx = perm[:n_test], perm[n_test:]
+        if train_idx.size == 0:
+            raise ValueError(f"class {k} has no training examples left after the split")
+        train_stores.append(store[train_idx])
+        if n_test:
+            test_x.append(store[test_idx])
+            test_y.append(np.tile(eye[k], (n_test, 1)))
+    if not test_x:
+        raise ValueError("test split is empty; increase per-class examples")
+    return LabeledSource(train_stores), np.vstack(test_x), np.vstack(test_y)
+
+
 def gp_sample_curves(
     classes: int, length: int, length_scale: float, rng: np.random.Generator
 ) -> np.ndarray:

@@ -86,6 +86,18 @@ class TestRun:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert list(tmp_path.glob("o*")) == []
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--seed", "1", "1"], ["--policy", "sdae", "sdae"], ["--seed", "1", "2", "1", "--policy", "sdae", "radae"]],
+        ids=["seed", "policy", "seed-of-two-policies"],
+    )
+    def test_a_repeated_run_exits_2_before_anything_runs(self, config_path, tmp_path, capsys, flags):
+        # the runs are deterministic: a repeat would run and write a trace twice
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", config_path, *flags, "--out", str(out)]) == 2
+        assert "seed=1 is asked for more than once" in capsys.readouterr().err
+        assert list(tmp_path.glob("o*")) == []
+
     def test_invalid_values_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("policy = nonsense\n")

@@ -457,8 +457,9 @@ def producer_threads():
 
 
 class TestPrefetch:
-    """The batches are drawn on a background thread into a queue bounded in
-    bytes; here the bound is cut to one batch, so the loop overlaps it."""
+    """The batches are drawn on a background thread into a queue of as many
+    batches as fit in ``PREFETCH_BYTES``, and at least one; here the bound
+    is cut to a few batches or less, so the loop overlaps the drawing."""
 
     @pytest.mark.parametrize("policy", ["sdae", "midae", "radae"])
     def test_a_one_batch_queue_changes_no_trace(self, monkeypatch, policy):
@@ -470,9 +471,17 @@ class TestPrefetch:
         streamed = run_experiment(cfg)
         assert comparable(streamed.records) == comparable(buffered.records)
 
-    def test_a_run_holds_a_bounded_number_of_batches(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "batches_in_bound, at_setup",
+        [
+            pytest.param(0, 2, id="one-byte"),  # the queue still takes one batch
+            pytest.param(1, 2, id="one-batch"),
+            pytest.param(2.5, 3, id="two-and-a-half-batches"),
+        ],
+    )
+    def test_a_run_holds_a_bounded_number_of_batches(self, monkeypatch, batches_in_bound, at_setup):
         cfg = with_pool(tiny_config(policy="sdae", batches=60))
-        monkeypatch.setattr(harness, "PREFETCH_BYTES", one_batch_bytes(cfg))
+        monkeypatch.setattr(harness, "PREFETCH_BYTES", max(1, int(batches_in_bound * one_batch_bytes(cfg))))
         counter = LiveBatches(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the interpreter between the threads as often as it can
@@ -480,11 +489,11 @@ class TestPrefetch:
             run_experiment(cfg)
         finally:
             sys.setswitchinterval(interval)
-        # set-up waited for a full queue: one batch queued, the next in hand
-        assert counter.drawn_at_setup == [2]
+        # set-up waited for a full queue: the queued batches, and the next in hand
+        assert counter.drawn_at_setup == [at_setup]
         assert counter.drawn == 60 and counter.live == 0
         # queued, in the producer's hand, and the loop's batch and the next
-        assert counter.peak <= 4
+        assert counter.peak <= at_setup + 2
 
     def test_a_stream_that_fits_is_drawn_in_set_up(self, monkeypatch):
         cfg = with_pool(tiny_config(policy="sdae", batches=30))
@@ -492,8 +501,16 @@ class TestPrefetch:
         run_experiment(cfg)
         assert counter.drawn_at_setup == [30]
 
-    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_a_failing_step_stops_and_joins_the_producer(self, monkeypatch, error):
+    @pytest.mark.parametrize(
+        "error, failing_at",
+        [
+            pytest.param(RuntimeError, 5, id="RuntimeError"),
+            pytest.param(KeyboardInterrupt, 5, id="KeyboardInterrupt"),
+            # the last batch is queued and the producer waits to hand over the end
+            pytest.param(RuntimeError, 58, id="RuntimeError-second-to-last"),
+        ],
+    )
+    def test_a_failing_step_stops_and_joins_the_producer(self, monkeypatch, error, failing_at):
         cfg = with_pool(tiny_config(policy="sdae", batches=60))
         monkeypatch.setattr(harness, "PREFETCH_BYTES", one_batch_bytes(cfg))
         before = threading.active_count()
@@ -501,7 +518,7 @@ class TestPrefetch:
         producing = []
 
         def failing(net, batch, *args):
-            if batch.seq_id == 5:
+            if batch.seq_id == failing_at:
                 producing.append(bool(producer_threads()))
                 raise error("step failed")
             return real_finetune(net, batch, *args)
@@ -546,31 +563,45 @@ class TestPrefetch:
 
 
 class TestNumericalBreakdown:
-    def test_non_finite_evaluation_names_the_batch(self, monkeypatch):
+    """Parameters poisoned after a batch trains: the next batch's evaluation
+    stops the run, and after the last batch, with none to follow, the
+    held-out evaluation does."""
+
+    @pytest.mark.parametrize(
+        "poisoned, message",
+        [(2, r"^batch 3: .*l_gen=nan"), (11, r"^batch 11: held-out read-out is not finite")],
+        ids=["upcoming", "last"],
+    )
+    def test_non_finite_evaluation_names_the_batch(self, monkeypatch, poisoned, message):
         real_finetune = harness.finetune
 
         def poisoning(net, batch, *args, **kwargs):
             real_finetune(net, batch, *args, **kwargs)
-            if batch.seq_id == 2:
+            if batch.seq_id == poisoned:
                 net.layers[0].W[:] = np.nan
             return net
 
         monkeypatch.setattr(harness, "finetune", poisoning)
-        with pytest.raises(NumericalBreakdown, match=r"^batch 3: .*l_gen=nan"):
+        with pytest.raises(NumericalBreakdown, match=message):
             run_experiment(with_pool(tiny_config(policy="sdae")))
 
-    def test_non_finite_read_out_names_the_batch(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "poisoned, message",
+        [(2, r"^batch 3: .*l_gen=\d.*read-out finite=False"), (11, r"^batch 11: held-out read-out is not finite")],
+        ids=["upcoming", "last"],
+    )
+    def test_non_finite_read_out_names_the_batch(self, monkeypatch, poisoned, message):
         real_finetune = harness.finetune
 
         def poisoning(net, batch, *args, **kwargs):
             real_finetune(net, batch, *args, **kwargs)
-            if batch.seq_id == 2:
+            if batch.seq_id == poisoned:
                 net.out_W[:] = np.nan
             return net
 
         monkeypatch.setattr(harness, "finetune", poisoning)
         # the encoder and decoder are still finite, so l_gen is too
-        with pytest.raises(NumericalBreakdown, match=r"^batch 3: .*l_gen=\d.*read-out finite=False"):
+        with pytest.raises(NumericalBreakdown, match=message):
             run_experiment(with_pool(tiny_config(policy="sdae")))
 
 
