@@ -271,10 +271,27 @@ class QModel:
             self._stale[action] = False
 
 
-def q_update(q: QModel, s_prev, a_prev: ActionKind, reward: float, s_new, cfg: ControllerConfig) -> QModel:
-    """Temporal-difference update of the utility for the previous action."""
-    target = reward + cfg.discount * q.best_value(s_new)
-    old = q.predict(a_prev, s_prev)
+def q_update(
+    q: QModel,
+    s_prev,
+    a_prev: ActionKind,
+    reward: float,
+    s_new,
+    cfg: ControllerConfig,
+    old: float | None = None,
+    best: float | None = None,
+) -> QModel:
+    """Temporal-difference update of the utility for the previous action.
+
+    ``old`` and ``best`` are ``q``'s current utility of ``a_prev`` in
+    ``s_prev`` and its best utility in ``s_new``; a caller that has them
+    already passes them in, and they are predicted otherwise.
+    """
+    if best is None:
+        best = q.best_value(s_new)
+    if old is None:
+        old = q.predict(a_prev, s_prev)
+    target = reward + cfg.discount * best
     value = (1.0 - cfg.q_lr) * old + cfg.q_lr * target
     if q.tabular:
         q.table[(s_prev, a_prev)] = value
@@ -318,6 +335,7 @@ class RlController:
         self.history = History(cfg)
         self.prev_state = None
         self.prev_action = None
+        self.prev_value = None  # the utility the last decision predicted for prev_action
         self.width = initial_width
 
     def observe(self, l_gen: float, l_cls: float, width: int, kl: float) -> None:
@@ -339,14 +357,16 @@ class RlController:
             return ControlDecision(state=None, kind=ActionKind.POOL, delta=0)
         state = compute_state(h, cfg)
         reward = None
+        q_values = q.predictions(state)
         if self.prev_state is not None:
             reward = compute_reward(h.cls, h.cls_prev, h.ratio, cfg)
-            q_update(q, self.prev_state, self.prev_action, reward, state, cfg)
+            # no curve has changed since the last decision predicted prev_value
+            q_update(q, self.prev_state, self.prev_action, reward, state, cfg, self.prev_value, max(q_values.values()))
             if n < cfg.greedy_after or n % cfg.refit_interval == 0:
                 q.refit()
-        q_values = q.predictions(state)
+                q_values = q.predictions(state)
         kind = select_action(q_values, n, cfg, self.rng)
-        self.prev_state, self.prev_action = state, kind
+        self.prev_state, self.prev_action, self.prev_value = state, kind, q_values[kind]
         size = 0 if h.cls_prev is None else compute_delta(h.cls, h.cls_prev, h.ratio, cfg)
         delta = 0
         if kind is ActionKind.INCREMENT:

@@ -7,12 +7,20 @@ The scan computes the pairwise distances once and one ``exp`` per length
 scale, and every fit calls LAPACK ``potrf``/``potrs`` directly: the same
 routines, and the same bits, as scipy's ``cholesky`` and ``cho_solve``
 without their argument checks.  Finiteness is checked here instead.
-Fitted models are immutable; predictions are safe to share.
+The routines come from scipy's compiled ``scipy.linalg._flapack`` module,
+loaded by file on the first fit, so no run imports the ``scipy.linalg``
+package and its ~0.1 s set-up.  Fitted models are immutable; predictions
+are safe to share.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +70,33 @@ class GprModel:
     log_marginal: float
 
 
+@functools.cache
+def _flapack():
+    """scipy's LAPACK extension module, ``scipy.linalg._flapack``.
+
+    Loaded on first use, so runs that never fit a GP skip it.  The module
+    file is found without running any scipy package code and registered
+    under its own name, so a later ``import scipy.linalg`` reuses this
+    instance, and an earlier one is reused here.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(d, "linalg") for d in (scipy.submodule_search_locations or ())] if scipy else []
+    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if spec is None:
+        raise ImportError(f"the GP needs scipy: {name} was not found", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 def _factorise(K: np.ndarray, noise_var: float) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``K + (noise_var + jitter) I`` for the least
     jitter that factorises.  Overwrites the diagonal of ``K``."""
-    # scipy is imported on first use: runs that never fit a GP skip its cost
-    from scipy.linalg.lapack import dpotrf
-
+    dpotrf = _flapack().dpotrf
     diag = _finite(K.diagonal() + noise_var, "the noisy Gram diagonal")
     for jitter in JITTERS:
         np.fill_diagonal(K, diag + jitter)
@@ -95,10 +124,8 @@ def _observations(inputs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, 
 def _solve(K: np.ndarray, yc: np.ndarray, noise_var: float) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Factor, weights, jitter and log marginal likelihood for one finite
     Gram matrix (GPML Algorithm 2.1).  Overwrites the diagonal of ``K``."""
-    from scipy.linalg.lapack import dpotrs
-
     L, jitter = _factorise(K, noise_var)
-    alpha, _ = dpotrs(L, yc, lower=1)
+    alpha, _ = _flapack().dpotrs(L, yc, lower=1)
     lml = (
         -0.5 * float(yc @ alpha)
         - float(np.sum(np.log(np.diag(L))))
@@ -160,13 +187,15 @@ def optimize_hyperparams(
 ) -> tuple[float, float]:
     """Pick the grid point with the best marginal likelihood.
 
-    The initial setting is always a candidate, so the winner is never worse
-    than it.
+    The initial setting is always the first candidate, so the winner is
+    never worse than it; a grid point equal to it is not scored again.
     """
     X, _, yc, _ = _observations(inputs, targets)
     if X.shape[0] < 2:
         raise ValueError("hyperparameter search needs at least two observations")
-    candidates = [initial] + [(float(s), float(l)) for s in SIGMA_GRID for l in LENGTH_GRID]
+    grid = [(float(s), float(l)) for s in SIGMA_GRID for l in LENGTH_GRID]
+    # an equal grid point would score the same and lose the strict tie below
+    candidates = [initial] + [c for c in grid if c != initial]
     # what the candidates share: the distances, and one exp per length scale
     sq = _sq_dists(X, X)
     decays = {}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaptdae import controller
 from adaptdae.controller import (
     ACTIONS,
     ControllerConfig,
@@ -400,8 +401,9 @@ class TestControlStep:
             assert len(ctrl.q.observations[a]) == obs_counts[a]
 
     def test_utilities_evaluated_once_per_decision(self, monkeypatch):
-        # 3 for the best next value, 1 for the old value and 3 for the
-        # utilities that both the choice and the decision carry
+        # 3 for the utilities that the best next value, the choice and the
+        # decision share, and 3 more after a refit; the old value is the one
+        # the last decision predicted
         cfg = cfg_with(warmup_batches=2, greedy_after=6, refit_interval=2, epsilon=0.0)
         ctrl = RlController(cfg, initial_width=10, rng=np.random.default_rng(0))
         calls = []
@@ -413,8 +415,29 @@ class TestControlStep:
             before = len(calls)
             decision = ctrl.decide(n)
             per_decision.append(len(calls) - before)
-        assert per_decision == [0, 0, 3] + [7] * 11
+        # refits at every batch before greedy_after, then on even batches
+        assert per_decision == [0, 0, 3, 6, 6, 6, 6, 3, 6, 3, 6, 3, 6, 3]
         assert decision.q_values == {a: predict(ctrl.q, a, decision.state) for a in ACTIONS}
+
+    def test_reused_utilities_equal_fresh_predictions(self, monkeypatch):
+        # decide hands q_update the utilities it predicted already; they must
+        # be the bits that q_update would predict itself, with and without a
+        # refit since the last decision
+        cfg = cfg_with(warmup_batches=2, greedy_after=6, refit_interval=3, epsilon=0.3)
+        ctrl = RlController(cfg, initial_width=10, rng=np.random.default_rng(2))
+        checked = []
+
+        def checking_update(q, s_prev, a_prev, reward, s_new, cfg, old, best):
+            assert old.hex() == q.predict(a_prev, s_prev).hex()
+            assert best.hex() == q.best_value(s_new).hex()
+            checked.append(q.curves[a_prev] is not None)
+            return q_update(q, s_prev, a_prev, reward, s_new, cfg, old, best)
+
+        monkeypatch.setattr(controller, "q_update", checking_update)
+        for n, (lg, lc) in enumerate(np.random.default_rng(5).random((30, 2))):
+            ctrl.observe(lg, lc, 10, 0.0)
+            ctrl.decide(n)
+        assert len(checked) == 27 and sum(checked) > 20
 
 
 class TestConfigValidation:

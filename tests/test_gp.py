@@ -1,5 +1,8 @@
+import importlib.machinery
+import importlib.util
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky
 
+from adaptdae import gp
 from adaptdae.gp import (
     JITTERS,
     LENGTH_GRID,
@@ -290,14 +294,126 @@ class TestMarginalLikelihood:
             optimize_hyperparams(np.zeros((1, 1)), np.zeros(1))
 
 
+def run_python(code, *args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    subprocess.run([sys.executable, "-c", code, *args], env=env, check=True, timeout=60)
+
+
 def test_scipy_is_imported_only_when_a_gp_is_fitted():
     # runs that never fit a GP (sdae, midae, validate, replay) skip its import
-    code = (
+    run_python(
         "import sys, adaptdae.cli\n"
         "assert 'scipy' not in sys.modules\n"
         "from adaptdae.gp import fit\n"
         "fit([[0.0], [1.0]], [0.0, 1.0])\n"
-        "assert 'scipy.linalg' in sys.modules\n"
+        "assert 'scipy.linalg._flapack' in sys.modules\n"
+        "assert 'scipy' not in sys.modules and 'scipy.linalg' not in sys.modules\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+TINY_RADAE = """policy = radae
+stream.batches = 12
+stream.batch_size = 20
+stream.dims = 6
+stream.per_class = 30
+nn.widths = 8
+rl.warmup_batches = 3
+rl.greedy_after = 6
+rl.refit_interval = 2
+"""
+
+# the same LAPACK calls on pickled (matrix, right-hand side) pairs, run on the
+# `lapack` module bound by the line put in front, in a fresh process
+LAPACK_CALLS = """
+import pickle, sys
+with open(sys.argv[1], "rb") as f:
+    problems = pickle.load(f)
+out = []
+for A, b in problems:
+    L, info = lapack.dpotrf(A, lower=1, clean=1)
+    out.append((L, info, lapack.dpotrs(L, b, lower=1)[0] if info == 0 else None))
+with open(sys.argv[2], "wb") as f:
+    pickle.dump(out, f)
+"""
+
+
+class TestLapackLoader:
+    def test_a_radae_run_fits_without_importing_the_scipy_package(self):
+        run_python(
+            "import sys\n"
+            "from adaptdae.config import parse_config\n"
+            "from adaptdae.harness import run_experiment\n"
+            f"run_experiment(parse_config({TINY_RADAE!r}), out_path='')\n"
+            "assert 'scipy.linalg._flapack' in sys.modules\n"
+            "assert 'scipy' not in sys.modules and 'scipy.linalg' not in sys.modules\n"
+        )
+
+    def test_loaded_routines_give_the_bytes_of_scipys(self, tmp_path):
+        rng = np.random.default_rng(13)
+        problems = []
+        for n in (1, 2, 7, 30, 80):
+            B = rng.normal(size=(n, n))
+            problems.append((B @ B.T + 1e-3 * np.eye(n), rng.normal(size=n)))
+        # a Gram matrix that factorises only from the fourth jitter on
+        X = np.linspace(0.0, 1.0, 30)[:, None]
+        K = kernel_matrix(X, X, 1.0, 1.0)
+        y = np.sin(3.0 * X[:, 0])
+        assert fit(X, y, 1.0, 1.0, -5e-8).jitter == JITTERS[3]
+        problems += [(K + (jitter - 5e-8) * np.eye(30), y) for jitter in JITTERS]
+        with open(tmp_path / "problems.pkl", "wb") as f:
+            pickle.dump(problems, f)
+        outputs = []
+        for side, binding in (
+            ("loader", "from adaptdae.gp import _flapack\nlapack = _flapack()\n"),
+            ("scipy", "from scipy.linalg import lapack\n"),
+        ):
+            check = "assert 'scipy.linalg' not in sys.modules\n" if side == "loader" else ""
+            run_python(binding + LAPACK_CALLS + check, str(tmp_path / "problems.pkl"), str(tmp_path / side))
+            with open(tmp_path / side, "rb") as f:
+                outputs.append(f.read())
+        infos = [info for _, info, _ in pickle.loads(outputs[0])]
+        assert [info > 0 for info in infos] == [False] * 5 + [True] * 3 + [False] * 2
+        assert outputs[0] == outputs[1]
+
+    def test_an_imported_scipy_linalg_shares_the_loaded_module(self):
+        run_python(
+            "import scipy.linalg.lapack\n"
+            "from adaptdae import gp\n"
+            "assert gp._flapack() is scipy.linalg.lapack._flapack\n"
+        )
+        run_python(
+            "from adaptdae import gp\n"
+            "module = gp._flapack()\n"
+            "import scipy.linalg.lapack\n"
+            "assert scipy.linalg.lapack._flapack is module\n"
+            "assert scipy.linalg.lapack.dpotrf is module.dpotrf\n"
+        )
+
+    @pytest.mark.parametrize("missing", ["scipy", "the extension"])
+    def test_missing_lapack_raises_an_import_error_naming_scipy(self, missing, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        if missing == "scipy":
+            monkeypatch.setitem(sys.modules, "scipy", None)  # what find_spec reads as not installed
+        else:
+            empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+            empty.submodule_search_locations = [str(tmp_path)]
+            monkeypatch.setattr(importlib.util, "find_spec", lambda name: empty)
+        with pytest.raises(ImportError, match="scipy"):
+            gp._flapack.__wrapped__()
+
+
+@pytest.mark.parametrize("initial", ["grid winner", "grid point", "off the grid"])
+def test_an_initial_on_the_grid_is_solved_once(initial, monkeypatch):
+    rng = np.random.default_rng(21)
+    X, y = rng.normal(size=(25, 3)), rng.normal(size=25)
+    start = {
+        "grid winner": reference_search(X, y, 0.2, (1.0, 1.0)),
+        "grid point": (float(SIGMA_GRID[1]), float(LENGTH_GRID[5])),
+        "off the grid": (1.0, 1.0),
+    }[initial]
+    expected = reference_search(X, y, 0.2, start)
+    solves = []
+    solve = gp._solve
+    monkeypatch.setattr(gp, "_solve", lambda *args: solves.append(args) or solve(*args))
+    assert optimize_hyperparams(X, y, 0.2, start) == expected
+    assert len(solves) == (50 if initial == "off the grid" else 49)
