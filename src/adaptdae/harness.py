@@ -7,8 +7,8 @@ one exception is the first ``nn.pretrain_batches`` batches: the network is
 pre-trained, unsupervised, on their inputs before batch 0, so they are
 evaluated after that.  The global error is measured on a class-balanced
 held-out split after every batch.  Runs with the same seed share the
-stream and the initial network across policies.  A background thread draws
-the batches into a bounded queue while the loop trains.
+stream and the initial network across policies.  One worker thread draws
+the batches, up to ``PREFETCH_BYTES`` ahead, while the loop trains.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import queue
-import threading
 import time
 from collections import deque
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -133,7 +132,7 @@ def prepare_data(cfg: ExperimentConfig):
     return spec, list(batches), test_x, test_y
 
 
-# The prefetch queue holds as many batches as fit in this many bytes, and
+# The stream is drawn as many batches ahead as fit in this many bytes, and
 # at least one: two of 1000 x 784.  On that stream, on 2 vCPUs, bounds of 8
 # to 128 MiB ran the loop equally fast; each step up added set-up time,
 # resident memory and page faults on the drawing thread (BENCH_13.json).
@@ -149,59 +148,6 @@ PREFETCH_BYTES = 16 << 20
 _MMAP_THRESHOLD_RAISE = 31 << 20
 
 
-class _Prefetch:
-    """Batches drawn on one daemon thread into a queue of ``depth`` batches.
-
-    Iterating yields the batches in order; an error raised while drawing is
-    raised again, with its type, once the batches before it are taken.
-    ``close`` stops the thread and joins it.
-    """
-
-    def __init__(self, batches: Iterator[DataBatch], depth: int):
-        # the batches, then None, or the error that ended the stream early
-        self._queue: queue.Queue[DataBatch | BaseException | None] = queue.Queue(maxsize=depth)
-        self._full = threading.Event()  # the producer holds a batch it cannot queue, or is done
-        self._stopped = False
-        self._thread = threading.Thread(target=self._produce, args=(batches,), name="adaptdae-stream", daemon=True)
-        self._thread.start()
-
-    def _produce(self, batches: Iterator[DataBatch]) -> None:
-        end = None
-        try:
-            for batch in batches:
-                if self._queue.full():
-                    self._full.set()
-                self._queue.put(batch)
-                del batch  # the queue's reference is the only one
-                if self._stopped:
-                    return
-        except BaseException as err:  # raised again on the consumer's thread
-            end = err
-        self._full.set()
-        if not self._stopped:
-            self._queue.put(end)
-
-    def wait_full(self) -> None:
-        """Block until the producer holds a batch it cannot queue, or the
-        stream has ended."""
-        self._full.wait()
-
-    def __iter__(self) -> Iterator[DataBatch]:
-        while isinstance(item := self._queue.get(), DataBatch):
-            yield item
-            del item  # let go of the batch before waiting for the next
-        if item is not None:
-            raise item
-
-    def close(self) -> None:
-        # after the stop the producer puts at most once more, so one drain
-        # leaves it room
-        self._stopped = True
-        while not self._queue.empty():
-            self._queue.get_nowait()
-        self._thread.join()
-
-
 def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunResult:
     """Run one policy over one stream and emit the trace.
 
@@ -214,16 +160,24 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
 
     np.empty(_MMAP_THRESHOLD_RAISE, dtype=np.uint8)  # freed at once: see above
     spec, batches, test_x, test_y = _open_stream(cfg)
-    # drawn on a second thread: a stream that fits the queue is drawn whole
-    # here, in set-up, and a longer one while the loop trains
     # every batch holds float64 inputs and one-hot float64 labels
     batch_bytes = spec.batch_size * (spec.dims + spec.classes) * 8
-    stream = _Prefetch(batches, max(1, PREFETCH_BYTES // batch_bytes))
-    try:
-        stream.wait_full()
-        records = _run_batches(cfg, spec, iter(stream), test_x, test_y)
-    finally:
-        stream.close()
+    depth = max(1, PREFETCH_BYTES // batch_bytes)
+    # one worker draws the batches in order, depth ahead: a stream that fits
+    # is drawn whole here, in set-up, and a longer one while the loop trains;
+    # leaving the block joins the worker however the run ends
+    with ThreadPoolExecutor(1, thread_name_prefix="adaptdae-stream") as pool:
+        ahead = deque(pool.submit(next, batches) for _ in range(min(depth, spec.batches)))
+        wait(ahead)
+
+        def in_order() -> Iterator[DataBatch]:
+            for n in range(spec.batches):
+                batch = ahead.popleft().result()  # raises an error met while drawing, with its type
+                if n + depth < spec.batches:
+                    ahead.append(pool.submit(next, batches))
+                yield batch
+
+        records = _run_batches(cfg, spec, in_order(), test_x, test_y)
 
     summary = summarize(records, cfg.summary_last)
     path = cfg.out if out_path is None else out_path

@@ -453,13 +453,14 @@ class LiveBatches:
 
 
 def producer_threads():
-    return [t for t in threading.enumerate() if t.name == "adaptdae-stream"]
+    # the executor names its worker adaptdae-stream_0
+    return [t for t in threading.enumerate() if t.name.startswith("adaptdae-stream")]
 
 
 class TestPrefetch:
-    """The batches are drawn on a background thread into a queue of as many
-    batches as fit in ``PREFETCH_BYTES``, and at least one; here the bound
-    is cut to a few batches or less, so the loop overlaps the drawing."""
+    """The batches are drawn on one worker thread, as many ahead as fit in
+    ``PREFETCH_BYTES``, and at least one; here the bound is cut to a few
+    batches or less, so the loop overlaps the drawing."""
 
     @pytest.mark.parametrize("policy", ["sdae", "midae", "radae"])
     def test_a_one_batch_queue_changes_no_trace(self, monkeypatch, policy):
@@ -474,9 +475,9 @@ class TestPrefetch:
     @pytest.mark.parametrize(
         "batches_in_bound, at_setup",
         [
-            pytest.param(0, 2, id="one-byte"),  # the queue still takes one batch
-            pytest.param(1, 2, id="one-batch"),
-            pytest.param(2.5, 3, id="two-and-a-half-batches"),
+            pytest.param(0, 1, id="one-byte"),  # still one batch ahead
+            pytest.param(1, 1, id="one-batch"),
+            pytest.param(2.5, 2, id="two-and-a-half-batches"),
         ],
     )
     def test_a_run_holds_a_bounded_number_of_batches(self, monkeypatch, batches_in_bound, at_setup):
@@ -489,10 +490,10 @@ class TestPrefetch:
             run_experiment(cfg)
         finally:
             sys.setswitchinterval(interval)
-        # set-up waited for a full queue: the queued batches, and the next in hand
+        # set-up waited for the batches drawn ahead
         assert counter.drawn_at_setup == [at_setup]
         assert counter.drawn == 60 and counter.live == 0
-        # queued, in the producer's hand, and the loop's batch and the next
+        # drawn ahead, and the loop's batch and the next
         assert counter.peak <= at_setup + 2
 
     def test_a_stream_that_fits_is_drawn_in_set_up(self, monkeypatch):
@@ -501,12 +502,21 @@ class TestPrefetch:
         run_experiment(cfg)
         assert counter.drawn_at_setup == [30]
 
+    @pytest.mark.parametrize("policy", ["sdae", "midae", "radae"])
+    def test_a_finished_run_joins_the_worker(self, monkeypatch, policy):
+        cfg = with_pool(tiny_config(policy=policy, batches=30))
+        monkeypatch.setattr(harness, "PREFETCH_BYTES", one_batch_bytes(cfg))
+        before = threading.active_count()
+        run_experiment(cfg)
+        assert producer_threads() == []
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize(
         "error, failing_at",
         [
             pytest.param(RuntimeError, 5, id="RuntimeError"),
             pytest.param(KeyboardInterrupt, 5, id="KeyboardInterrupt"),
-            # the last batch is queued and the producer waits to hand over the end
+            # the last draw is submitted, and no other is left to come
             pytest.param(RuntimeError, 58, id="RuntimeError-second-to-last"),
         ],
     )

@@ -21,7 +21,7 @@ radae with ``rl.ema_alpha = none`` in spaces 3 and 4, the only ones that
 read it; radae in a tight size corridor at seeds 1 and 2; radae with the
 controller's defaults (desk.cfg without its ``rl.*`` lines) in state
 spaces 3 and 1; radae and midae on 784-dimensional desk batches, a
-stream larger than the harness's prefetch queue; every benchmark workload
+stream larger than the harness's ``PREFETCH_BYTES``; every benchmark workload
 at sub-seeds 1000 and 1001; and every policy with pre-training, with a
 one-layer net and with the label loss alone.  One BLAS thread, as the benchmark uses.  A full pass takes
 about 20 s on a 2-vCPU host.
@@ -67,9 +67,9 @@ def trace_configs(root: Path = ROOT) -> dict[str, str]:
         configs[f"radae-tight-s{s}"] = cfg("radae", s, "rl.delta_scale = 60", "rl.size_low = 0.9", "rl.size_high = 1.3")
     for space in (3, 1):
         configs[f"radae-rl-defaults-space{space}"] = cfg("radae", 1, f"rl.state_space = {space}", base=no_rl)
-    # streams larger than the harness's prefetch queue, so that the loop
-    # trains while batches are still being drawn, under the two policies
-    # that keep batches in pools
+    # streams larger than PREFETCH_BYTES, so that the loop trains while the
+    # harness is still drawing batches, under the two policies that keep
+    # batches in pools
     for p in ("radae", "midae"):
         configs[f"desk-{p}-wide"] = cfg(p, 1, "stream.dims = 784")
     for workload in bench.WORKLOADS:
