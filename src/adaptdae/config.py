@@ -7,11 +7,11 @@ number they came from.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .controller import ControllerConfig
 from .midae import MiDaeConfig
+from .ranges import inside, out_of_range, within
 from .stream import StreamSpec, held_out_count
 
 POLICIES = ("sdae", "midae", "radae")
@@ -25,43 +25,30 @@ class ConfigError(Exception):
 
 @dataclass
 class NetConfig:
-    widths: tuple[int, ...] = (32, 32, 32)
-    learning_rate: float = 0.2
-    corruption: float = 0.2
-    hybrid_weight: float = 0.2
-    pretrain_batches: int = 0
-    pretrain_epochs: int = 1
-
-    def validate(self) -> None:
-        if any(w < 1 for w in self.widths):
-            raise ValueError("nn.widths must all be positive")
-        if not 0.0 <= self.corruption <= 1.0:
-            raise ValueError("nn.corruption must be a probability")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("nn.learning_rate must be finite and positive")
-        if not (math.isfinite(self.hybrid_weight) and self.hybrid_weight >= 0):
-            raise ValueError("nn.hybrid_weight must be finite and non-negative")
-        for key in ("pretrain_batches", "pretrain_epochs"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"nn.{key} must be non-negative")
+    widths: tuple[int, ...] = field(default=(32, 32, 32), metadata=within("[1, inf)"))  # each width
+    learning_rate: float = field(default=0.2, metadata=within("(0, inf)"))
+    corruption: float = field(default=0.2, metadata=within("[0, 1]"))
+    hybrid_weight: float = field(default=0.2, metadata=within("[0, inf)"))
+    pretrain_batches: int = field(default=0, metadata=within("[0, inf)"))
+    pretrain_epochs: int = field(default=1, metadata=within("[0, inf)"))
 
 
 @dataclass
 class PoolConfig:
     capacity: int = 10000
-    distance_threshold: float = 0.7
+    distance_threshold: float = field(default=0.7, metadata=within("[0, 1]"))
 
 
 @dataclass
 class ExperimentConfig:
     policy: str = "radae"
-    seed: int = 0
+    seed: int = field(default=0, metadata=within("[0, inf)"))
     out: str = "trace.csv"
-    summary_last: int = 250
-    test_fraction: float = 0.2
+    summary_last: int = field(default=250, metadata=within("[1, inf)"))
+    test_fraction: float = field(default=0.2, metadata=within("(0, 1)"))
     kind: str = "synth"  # synth | idx
     per_class: int = 200
-    spread: float = 0.1
+    spread: float = field(default=0.1, metadata=within("[0, inf)"))
     images: str = ""
     labels: str = ""
     stream: StreamSpec = field(default_factory=lambda: StreamSpec(classes=3, dims=16))
@@ -103,6 +90,10 @@ _SOURCE_FIELDS = ("kind", "per_class", "spread", "images", "labels")
 _UNSETTABLE = ("stream.seed", "rl.short_windows")
 
 
+def _top_key(name: str) -> str:
+    return f"stream.{name}" if name in _SOURCE_FIELDS else name
+
+
 def _key_table() -> dict:
     """key -> (section attr or None, field name, parser), one key per field:
     a field holding a dataclass is a section and its fields are its keys."""
@@ -114,8 +105,7 @@ def _key_table() -> dict:
             for f in fields(value):
                 keys[f"{top.name}.{f.name}"] = (top.name, f.name, f.type)
         else:
-            prefix = "stream." if top.name in _SOURCE_FIELDS else ""
-            keys[prefix + top.name] = (None, top.name, top.type)
+            keys[_top_key(top.name)] = (None, top.name, top.type)
     # the annotations are strings; an unknown one fails here, at import
     return {k: (s, a, _PARSERS[t]) for k, (s, a, t) in keys.items() if k not in _UNSETTABLE}
 
@@ -152,39 +142,28 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def validate_experiment(cfg: ExperimentConfig) -> list[str]:
-    """Cross-field checks; returns a list of problems, empty when valid."""
-    problems = []
+    """Every value outside its key's range and every broken cross-field rule;
+    empty when valid."""
+    problems = out_of_range(cfg, _top_key)
     if cfg.policy not in POLICIES:
         problems.append(f"policy must be one of {'/'.join(POLICIES)}, got {cfg.policy!r}")
-    if cfg.seed < 0:
-        problems.append("seed must be non-negative")
-    if not 0.0 < cfg.test_fraction < 1.0:
-        problems.append("test_fraction must be in (0, 1)")
-    if cfg.summary_last < 1:
-        problems.append("summary_last must be positive")
     if cfg.kind not in ("synth", "idx"):
         problems.append(f"stream.kind must be synth or idx, got {cfg.kind!r}")
     if cfg.kind == "idx" and not (cfg.images and cfg.labels):
         problems.append("stream.kind=idx requires stream.images and stream.labels")
     if cfg.kind == "synth":
-        n_test = held_out_count(cfg.test_fraction, cfg.per_class) if 0.0 < cfg.test_fraction < 1.0 else 1
+        # held_out_count needs a finite fraction; a bad one is reported above
+        n_test = held_out_count(cfg.test_fraction, cfg.per_class) if inside(cfg, "test_fraction") else 1
         if cfg.per_class < 2 or n_test >= cfg.per_class:
-            problems.append("stream.per_class must leave each class a test and a training example")
-    if not 0.0 <= cfg.spread < math.inf:
-        problems.append("stream.spread must be finite and non-negative")
-    try:
-        cfg.stream.validate()
-    except ValueError as err:
-        problems.append(str(err))
+            problems.append("stream.per_class must leave each class a test and a training example under test_fraction")
+    problems += out_of_range(cfg.nn, "nn.{}".format) + out_of_range(cfg.pool, "pool.{}".format)
     if cfg.nn.pretrain_batches > cfg.stream.batches:
         problems.append("nn.pretrain_batches must not exceed stream.batches")
     if cfg.pool.capacity < cfg.stream.batch_size:
-        problems.append("pool.capacity must hold at least one batch")
-    if not 0.0 <= cfg.pool.distance_threshold <= 1.0:
-        problems.append("pool.distance_threshold must be in [0, 1]")
-    for section in (cfg.nn, cfg.rl, cfg.midae):
+        problems.append("pool.capacity must be at least stream.batch_size")
+    for section in (cfg.stream, cfg.rl, cfg.midae):
         try:
             section.validate()
         except ValueError as err:
-            problems.append(str(err))
+            problems.extend(err.args)
     return problems

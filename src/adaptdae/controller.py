@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import gp
+from .ranges import out_of_range, within
 from .structure import ActionKind
 
 ACTIONS = (ActionKind.POOL, ActionKind.INCREMENT, ActionKind.MERGE)
@@ -24,23 +25,27 @@ ROTATION = (ActionKind.INCREMENT, ActionKind.MERGE, ActionKind.POOL)
 
 @dataclass
 class ControllerConfig:
-    ema_window: int = 30
+    ema_window: int = field(default=30, metadata=within("[1, inf)"))
     warmup_batches: int = 30
     greedy_after: int = 60
-    discount: float = 0.9
-    q_lr: float = 0.5
-    ema_alpha: float | None = None  # defaults to 2 / (ema_window + 1)
-    epsilon: float = 0.1
-    delta_scale: float | None = None  # size-change coefficient; defaults to half the initial width
-    size_target: float = 1.0  # preferred ratio of current to initial width
-    size_width: float = 0.5  # spread of the size-change envelope
-    size_low: float = 0.5  # reward penalty kicks in below this ratio; decide never merges below it
-    size_high: float = 2.0  # and above this one; decide never increments past it
+    discount: float = field(default=0.9, metadata=within("(0, 1)"))
+    q_lr: float = field(default=0.5, metadata=within("[0, 1]"))
+    ema_alpha: float | None = field(default=None, metadata=within("(0, 1]"))  # defaults to 2 / (ema_window + 1)
+    epsilon: float = field(default=0.1, metadata=within("[0, 1]"))
+    # size-change coefficient; defaults to half the initial width
+    delta_scale: float | None = field(default=None, metadata=within("[0, inf)"))
+    # preferred ratio of current to initial width
+    size_target: float = field(default=1.0, metadata=within("(-inf, inf)"))
+    size_width: float = field(default=0.5, metadata=within("(0, inf)"))  # spread of the size-change envelope
+    # the reward penalty kicks in outside [size_low, size_high]; decide never
+    # merges below size_low nor increments past size_high
+    size_low: float = field(default=0.5, metadata=within("[0, inf)"))
+    size_high: float = field(default=2.0, metadata=within("(-inf, inf)"))
     state_space: int = 3  # 1..4, see compute_state
     short_windows: tuple[int, int, int] = (5, 15, 30)
-    refit_interval: int = 10
-    max_observations: int = 500
-    gp_noise: float = 1e-2
+    refit_interval: int = field(default=10, metadata=within("[1, inf)"))
+    max_observations: int = field(default=500, metadata=within("[1, inf)"))
+    gp_noise: float = field(default=1e-2, metadata=within("[0, inf)"))
 
     def alpha(self) -> float:
         if self.ema_alpha is not None:
@@ -48,35 +53,15 @@ class ControllerConfig:
         return 2.0 / (self.ema_window + 1)
 
     def validate(self) -> None:
-        if not 0.0 < self.discount < 1.0:
-            raise ValueError("discount must be in (0, 1)")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
+        problems = out_of_range(self, "rl.{}".format)
         if self.warmup_batches >= self.greedy_after:
-            raise ValueError("warmup_batches must precede greedy_after")
-        if not 0.0 <= self.size_low < math.inf:
-            raise ValueError("size_low must be finite and non-negative")
-        if not math.isfinite(self.size_high):
-            raise ValueError("size_high must be finite")
+            problems.append("rl.warmup_batches must be below rl.greedy_after")
         if self.size_low >= self.size_high:
-            raise ValueError("size_low must be below size_high")
-        if not 0.0 <= self.q_lr <= 1.0:
-            raise ValueError("q_lr must be in [0, 1]")
+            problems.append("rl.size_low must be below rl.size_high")
         if self.state_space not in (1, 2, 3, 4):
-            raise ValueError("state_space must be 1..4")
-        for key in ("ema_window", "refit_interval", "max_observations"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1")
-        if not 0.0 < self.alpha() <= 1.0:
-            raise ValueError("ema alpha must be in (0, 1]")
-        if self.delta_scale is not None and not 0.0 <= self.delta_scale < math.inf:
-            raise ValueError("delta_scale must be finite and non-negative")
-        if not math.isfinite(self.size_target):
-            raise ValueError("size_target must be finite")
-        if not 0.0 < self.size_width < math.inf:
-            raise ValueError("size_width must be finite and positive")
-        if not (math.isfinite(self.gp_noise) and self.gp_noise >= 0):
-            raise ValueError("gp_noise must be finite and non-negative")
+            problems.append(f"rl.state_space must be 1, 2, 3 or 4, got {self.state_space}")
+        if problems:
+            raise ValueError(*problems)
 
 
 @dataclass(frozen=True)

@@ -18,26 +18,25 @@ import numpy as np
 from .network import DataBatch, Forward, Network, forward, mean_discriminative_loss, per_example_reconstruction_loss
 from .network import finetune  # noqa: F401  a module attribute here only: the benchmark wraps it
 from .pools import PoolSet, update_hard
+from .ranges import out_of_range, within
 from .structure import increment_nodes, merge_nodes
 
 
 @dataclass
 class MiDaeConfig:
-    delta_init: int = 30
-    grow_step: int = 30
-    merge_ratio: float = 0.2
+    delta_init: int = field(default=30, metadata=within("[0, inf)"))
+    grow_step: int = field(default=30, metadata=within("[0, inf)"))
+    merge_ratio: float = field(default=0.2, metadata=within("[0, inf)"))
     improve_eps: float = 0.01
-    converge_eps: float = 0.001
-    pool_threshold: int | None = None  # defaults to pool.capacity
+    converge_eps: float = field(default=0.001, metadata=within("[0, inf)"))
+    pool_threshold: int | None = field(default=None, metadata=within("[0, inf)"))  # defaults to pool.capacity
 
     def validate(self) -> None:
-        for key in ("delta_init", "grow_step", "pool_threshold"):
-            if (getattr(self, key) or 0) < 0:  # an unset pool_threshold is None
-                raise ValueError(f"midae.{key} must be non-negative")
-        if not (math.isfinite(self.merge_ratio) and self.merge_ratio >= 0):
-            raise ValueError("midae.merge_ratio must be finite and non-negative")
-        if not self.improve_eps > self.converge_eps >= 0:
-            raise ValueError("midae.improve_eps must exceed midae.converge_eps >= 0")
+        problems = out_of_range(self, "midae.{}".format)
+        if not self.improve_eps > self.converge_eps:
+            problems.append("midae.improve_eps must be above midae.converge_eps")
+        if problems:
+            raise ValueError(*problems)
 
 
 @dataclass

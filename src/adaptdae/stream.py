@@ -9,15 +9,15 @@ Sources are either synthetic Gaussian blobs or IDX image files.
 
 from __future__ import annotations
 
-import math
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gp
 from .network import DataBatch
+from .ranges import out_of_range, within
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -25,32 +25,23 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass
 class StreamSpec:
-    classes: int
-    dims: int
-    batch_size: int = 1000
-    batches: int = 1
+    classes: int = field(metadata=within("[2, inf)"))
+    dims: int = field(metadata=within("[1, inf)"))
+    batch_size: int = field(default=1000, metadata=within("[1, inf)"))
+    batches: int = field(default=1, metadata=within("[1, inf)"))
     mode: str = "nonstationary"  # stationary | nonstationary | switch
-    gp_length_scale: float | None = None  # defaults to batches / 10
-    mask_noise: float = 0.1
-    switch_at: int | None = None  # switch mode: batch index of the flip
-    skew: float = 0.9  # switch mode: mass on the favoured classes
+    gp_length_scale: float | None = field(default=None, metadata=within("(0, inf)"))  # defaults to batches / 10
+    mask_noise: float = field(default=0.1, metadata=within("[0, 1]"))
+    switch_at: int | None = field(default=None, metadata=within("[0, inf)"))  # switch mode: batch index of the flip
+    skew: float = field(default=0.9, metadata=within("(0, 1)"))  # switch mode: mass on the favoured classes
     seed: int = 0
 
     def validate(self) -> None:
-        if self.classes < 2:
-            raise ValueError("need at least two classes")
-        if self.dims < 1 or self.batch_size < 1 or self.batches < 1:
-            raise ValueError("dims, batch_size and batches must be positive")
+        problems = out_of_range(self, "stream.{}".format)
         if self.mode not in ("stationary", "nonstationary", "switch"):
-            raise ValueError(f"unknown stream mode {self.mode!r}")
-        if not 0.0 <= self.mask_noise <= 1.0:
-            raise ValueError("mask_noise must be a probability")
-        if not 0.0 < self.skew < 1.0:
-            raise ValueError("skew must be in (0, 1)")
-        if (self.switch_at or 0) < 0:  # an unset switch_at is None
-            raise ValueError("switch_at must be non-negative")
-        if self.gp_length_scale is not None and not 0.0 < self.gp_length_scale < math.inf:
-            raise ValueError("gp_length_scale must be finite and positive")
+            problems.append(f"stream.mode must be stationary, nonstationary or switch, got {self.mode!r}")
+        if problems:
+            raise ValueError(*problems)
 
 
 @dataclass

@@ -83,7 +83,7 @@ class TestRun:
         # seed 1 is fine and seed -3 is not: exit 2 means that nothing ran
         out = tmp_path / "o.csv"
         assert main(["run", "--config", config_path, "--seed", "1", "-3", "--out", str(out)]) == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
+        assert "seed must be in [0, inf), got -3" in capsys.readouterr().err
         assert list(tmp_path.glob("o*")) == []
 
     @pytest.mark.parametrize(
@@ -247,7 +247,7 @@ class TestValidate:
     def test_negative_seed_flag_exits_2(self, config_path, capsys, seeds):
         # used to pass validation and fail in the random generator, exit 1
         assert main(["run", "--config", config_path, "--seed", *seeds, "--out", ""]) == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
+        assert "seed must be in [0, inf), got -3" in capsys.readouterr().err
 
     def test_negative_midae_step_exits_2(self, tmp_path, capsys):
         path = tmp_path / "midae.cfg"

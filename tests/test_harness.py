@@ -39,7 +39,7 @@ from adaptdae.harness import (
 )
 from adaptdae.network import init_network
 from adaptdae.stream import StreamSpec
-from conftest import make_batch, make_net
+from conftest import make_batch, make_net, ranged_keys
 
 
 def tiny_config(policy="sdae", seed=0, batches=12, **rl_overrides):
@@ -179,16 +179,17 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def readme_config_rows():
-    """(keys, defaults) per row of the README's configuration table; a row
-    such as `rl.size_low` / `rl.size_high` names several keys."""
+    """(keys, defaults, ranges) per row of the README's configuration table;
+    a row such as `rl.size_low` / `rl.size_high` names several keys."""
     text = README.read_text(encoding="utf-8")
-    table = text.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    table = text.split("| key | default | range | meaning |\n| --- | --- | --- | --- |\n", 1)[1].split("\n\n", 1)[0]
     rows = []
     for line in table.splitlines():
-        key_cell, default_cell = line.split(" | ")[:2]
+        key_cell, default_cell, range_cell = (cell.strip() for cell in line.split("|")[1:4])
         keys = re.findall(r"`([^`]+)`", key_cell)
         defaults = [cell.strip("`") for cell in default_cell.split(" / ")]
-        rows.append((keys, defaults * len(keys) if len(defaults) == 1 else defaults))
+        ranges = re.findall(r"`([^`]+)`", range_cell) or [None]
+        rows.append((keys, *(cells * len(keys) if len(cells) == 1 else cells for cells in (defaults, ranges))))
     return rows
 
 
@@ -199,17 +200,30 @@ class TestKeyTable:
             assert _KEYS[key] == entry, key
 
     def test_readme_table_names_every_key_once(self):
-        keys = [key for row_keys, _ in readme_config_rows() for key in row_keys]
+        keys = [key for row_keys, _, _ in readme_config_rows() for key in row_keys]
         assert sorted(keys) == sorted(_KEYS)
 
     def test_readme_defaults_are_the_dataclass_defaults(self):
         defaults = ExperimentConfig()
-        for keys, cells in readme_config_rows():
+        for keys, cells, _ in readme_config_rows():
             assert len(keys) == len(cells), keys
             for key, cell in zip(keys, cells):
                 section, attr, parser = _KEYS[key]
                 owner = defaults if section is None else getattr(defaults, section)
                 assert parser(cell) == getattr(owner, attr), key
+
+    def test_readme_library_use_block_runs(self, capsys):
+        text = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+        block = text.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("Summary(")
+
+    def test_readme_ranges_are_the_field_intervals(self):
+        ranged = ranged_keys()
+        for keys, _, cells in readme_config_rows():
+            assert len(keys) == len(cells), keys
+            for key, cell in zip(keys, cells):
+                assert cell == ranged.get(key, (None,))[0], key
 
 
 class TestEvalFunctions:

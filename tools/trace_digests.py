@@ -1,4 +1,4 @@
-"""Trace digests of a fixed set of 35 configs: a refactor's "traces unchanged" check.
+"""Trace digests of a fixed set of 37 configs: a refactor's "traces unchanged" check.
 
     python3 tools/trace_digests.py [--root DIR]
 
@@ -22,9 +22,10 @@ read it; radae in a tight size corridor at seeds 1 and 2; radae with the
 controller's defaults (desk.cfg without its ``rl.*`` lines) in state
 spaces 3 and 1; radae and midae on 784-dimensional desk batches, a
 stream larger than the harness's ``PREFETCH_BYTES``; every benchmark workload
-at sub-seeds 1000 and 1001; and every policy with pre-training, with a
-one-layer net and with the label loss alone.  One BLAS thread, as the benchmark uses.  A full pass takes
-about 20 s on a 2-vCPU host.
+at sub-seeds 1000 and 1001; every policy with pre-training, with a
+one-layer net and with the label loss alone; radae on a stationary stream;
+and radae with a diverse pool small enough to evict.  One BLAS thread, as
+the benchmark uses.  A full pass takes about 20 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -78,6 +79,9 @@ def trace_configs(root: Path = ROOT) -> dict[str, str]:
     for tag, line in (("pretrain5", "nn.pretrain_batches = 5"), ("width24", "nn.widths = 24"), ("hybrid0", "nn.hybrid_weight = 0")):
         for p in POLICIES:
             configs[f"desk-{p}-{tag}"] = cfg(p, 1, line)
+    # no config above reaches the stationary ratio schedule or a diverse-pool eviction
+    configs["desk-radae-stationary"] = cfg("radae", 1, "stream.mode = stationary")
+    configs["radae-small-pool"] = cfg("radae", 1, "pool.capacity = 300", "pool.distance_threshold = 0.1")
     return configs
 
 
