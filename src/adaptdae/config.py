@@ -86,8 +86,8 @@ _PARSERS = {
 }
 # the source settings are ExperimentConfig fields but read as stream keys
 _SOURCE_FIELDS = ("kind", "per_class", "spread", "images", "labels")
-# runs seed their stream from the master seed, and the short windows are fixed
-_UNSETTABLE = ("stream.seed", "rl.short_windows")
+# runs seed their stream from the master seed
+_UNSETTABLE = ("stream.seed",)
 
 
 def _top_key(name: str) -> str:
@@ -151,16 +151,17 @@ def validate_experiment(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"stream.kind must be synth or idx, got {cfg.kind!r}")
     if cfg.kind == "idx" and not (cfg.images and cfg.labels):
         problems.append("stream.kind=idx requires stream.images and stream.labels")
-    if cfg.kind == "synth":
-        # held_out_count needs a finite fraction; a bad one is reported above
-        n_test = held_out_count(cfg.test_fraction, cfg.per_class) if inside(cfg, "test_fraction") else 1
-        if cfg.per_class < 2 or n_test >= cfg.per_class:
+    # a cross-field rule is checked only when the fields it reads lie in range
+    if cfg.kind == "synth" and inside(cfg, "per_class", "test_fraction"):
+        if cfg.per_class < 2 or held_out_count(cfg.test_fraction, cfg.per_class) >= cfg.per_class:
             problems.append("stream.per_class must leave each class a test and a training example under test_fraction")
     problems += out_of_range(cfg.nn, "nn.{}".format) + out_of_range(cfg.pool, "pool.{}".format)
-    if cfg.nn.pretrain_batches > cfg.stream.batches:
-        problems.append("nn.pretrain_batches must not exceed stream.batches")
-    if cfg.pool.capacity < cfg.stream.batch_size:
-        problems.append("pool.capacity must be at least stream.batch_size")
+    if inside(cfg.nn, "pretrain_batches") and inside(cfg.stream, "batches"):
+        if cfg.nn.pretrain_batches > cfg.stream.batches:
+            problems.append("nn.pretrain_batches must not exceed stream.batches")
+    if inside(cfg.pool, "capacity") and inside(cfg.stream, "batch_size"):
+        if cfg.pool.capacity < cfg.stream.batch_size:
+            problems.append("pool.capacity must be at least stream.batch_size")
     for section in (cfg.stream, cfg.rl, cfg.midae):
         try:
             section.validate()

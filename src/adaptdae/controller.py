@@ -16,11 +16,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gp
-from .ranges import out_of_range, within
+from .ranges import inside, out_of_range, within
 from .structure import ActionKind
 
 ACTIONS = (ActionKind.POOL, ActionKind.INCREMENT, ActionKind.MERGE)
 ROTATION = (ActionKind.INCREMENT, ActionKind.MERGE, ActionKind.POOL)
+SHORT_WINDOWS = (5, 15, 30)  # the error-smoothing windows of state spaces 1 and 2
 
 
 @dataclass
@@ -42,7 +43,6 @@ class ControllerConfig:
     size_low: float = field(default=0.5, metadata=within("[0, inf)"))
     size_high: float = field(default=2.0, metadata=within("(-inf, inf)"))
     state_space: int = 3  # 1..4, see compute_state
-    short_windows: tuple[int, int, int] = (5, 15, 30)
     refit_interval: int = field(default=10, metadata=within("[1, inf)"))
     max_observations: int = field(default=500, metadata=within("[1, inf)"))
     gp_noise: float = field(default=1e-2, metadata=within("[0, inf)"))
@@ -54,11 +54,11 @@ class ControllerConfig:
 
     def validate(self) -> None:
         problems = out_of_range(self, "rl.{}".format)
-        if self.warmup_batches >= self.greedy_after:
+        if inside(self, "warmup_batches", "greedy_after") and self.warmup_batches >= self.greedy_after:
             problems.append("rl.warmup_batches must be below rl.greedy_after")
-        if self.size_low >= self.size_high:
+        if inside(self, "size_low", "size_high") and self.size_low >= self.size_high:
             problems.append("rl.size_low must be below rl.size_high")
-        if self.state_space not in (1, 2, 3, 4):
+        if inside(self, "state_space") and self.state_space not in (1, 2, 3, 4):
             problems.append(f"rl.state_space must be 1, 2, 3 or 4, got {self.state_space}")
         if problems:
             raise ValueError(*problems)
@@ -93,15 +93,14 @@ class History:
     latest width ratio and histogram divergence.
 
     State spaces 3 and 4 smooth both errors with ``cfg.alpha()``; spaces 1
-    and 2 smooth both with the longest of ``cfg.short_windows`` and the
+    and 2 smooth both with the longest of ``SHORT_WINDOWS`` and the
     label error also with the two shorter ones.  Each average folds the
     records left to right with ``ema_update``, starting from the first.
     """
 
     def __init__(self, cfg: ControllerConfig):
         if cfg.state_space in (1, 2):
-            m1, m2, m3 = cfg.short_windows
-            self.cls_alphas = (2.0 / (m1 + 1), 2.0 / (m2 + 1), 2.0 / (m3 + 1))
+            self.cls_alphas = tuple(2.0 / (m + 1) for m in SHORT_WINDOWS)
         else:
             self.cls_alphas = (cfg.alpha(),)
         self.ema_gen: float | None = None

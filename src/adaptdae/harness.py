@@ -61,6 +61,15 @@ class TraceRecord:
 # read once, here: writing and reading never look at the class again, so a
 # caller may replace ``TraceRecord`` with a wrapper for the length of a run
 CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+# each column's parser, picked by its annotation: only a ``| None`` column reads empty as None
+_PARSE_BY_TYPE = {
+    "int": int,
+    "str": str,
+    "float": float,
+    "float | None": lambda text: float(text) if text else None,
+    "tuple[int, ...]": lambda text: tuple(int(w) for w in text.split("x")),
+}
+_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(TraceRecord)}
 
 
 @dataclass
@@ -339,14 +348,6 @@ def write_trace(path: str, records: list[TraceRecord]) -> None:
             writer.writerow([_cell(getattr(r, c)) for c in CSV_COLUMNS])
 
 
-def _parse_float(text: str) -> float | None:
-    return float(text) if text else None
-
-
-# every other column is a float, or empty for None
-_PARSERS = {"batch": int, "action": str, "delta": int, "widths": lambda text: tuple(int(w) for w in text.split("x"))}
-
-
 def read_trace(path: str) -> list[TraceRecord]:
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -360,7 +361,7 @@ def read_trace(path: str) -> list[TraceRecord]:
             cells = {}
             for c, v in zip(CSV_COLUMNS, row):
                 try:
-                    cells[c] = _PARSERS.get(c, _parse_float)(v)
+                    cells[c] = _PARSERS[c](v)
                 except ValueError:
                     raise ValueError(f"{path}: row {i}, column {c}: {v!r}") from None
             records.append(TraceRecord(**cells))

@@ -18,7 +18,7 @@ import numpy as np
 from .network import DataBatch, Forward, Network, forward, mean_discriminative_loss, per_example_reconstruction_loss
 from .network import finetune  # noqa: F401  a module attribute here only: the benchmark wraps it
 from .pools import PoolSet, update_hard
-from .ranges import out_of_range, within
+from .ranges import inside, out_of_range, within
 from .structure import increment_nodes, merge_nodes
 
 
@@ -33,7 +33,7 @@ class MiDaeConfig:
 
     def validate(self) -> None:
         problems = out_of_range(self, "midae.{}".format)
-        if not self.improve_eps > self.converge_eps:
+        if inside(self, "improve_eps", "converge_eps") and self.improve_eps <= self.converge_eps:
             problems.append("midae.improve_eps must be above midae.converge_eps")
         if problems:
             raise ValueError(*problems)
@@ -92,12 +92,11 @@ def merge_inc_step(
     """
     if fwd is None:
         fwd = forward(net, batch.inputs)
-    losses = per_example_reconstruction_loss(net, batch.inputs, fwd)
-    objective = mean_discriminative_loss(net, batch, fwd)
-    update_hard(pools, batch, losses)
+    update_hard(pools, batch, per_example_reconstruction_loss(net, batch.inputs, fwd))
     if pools.hard_count() <= state.pool_threshold:
         return None
 
+    objective = mean_discriminative_loss(net, batch, fwd)
     added = state.delta_nodes
     merged = 0
     if added > 0:

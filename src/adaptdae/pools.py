@@ -1,7 +1,7 @@
 """Bounded example pools: recent batches, dissimilar batches, hard examples.
 
-All pools hold references to immutable batches, never copies, so the memory
-bound is the configured capacity in examples.
+Every pool is a sequence of batches.  The recent and diverse pools hold the
+stream's immutable batches, never copies; a hard-pool block copies only the hard rows.
 """
 
 from __future__ import annotations
@@ -38,16 +38,15 @@ class PoolSet:
     ``recent`` is a FIFO of whole batches capped at ``capacity`` examples.
     ``diverse`` keeps batches whose pairwise distance exceeds
     ``distance_threshold``, same capacity, evicting the oldest on overflow.
-    ``hard`` collects single labelled examples and has no cap; its owner
-    clears it after acting on it.
+    ``hard`` holds the hard examples of each batch as one block and has no
+    cap; its owner clears it after acting on it.
     """
 
     capacity: int
     distance_threshold: float
     recent: deque = field(default_factory=deque)
-    diverse: list = field(default_factory=list)
-    hard_inputs: list = field(default_factory=list)
-    hard_labels: list = field(default_factory=list)
+    diverse: deque = field(default_factory=deque)
+    hard: list = field(default_factory=list)
 
     def recent_examples(self) -> int:
         return sum(b.size for b in self.recent)
@@ -56,20 +55,15 @@ class PoolSet:
         return sum(b.size for b in self.diverse)
 
     def hard_count(self) -> int:
-        return len(self.hard_inputs)
+        return sum(b.size for b in self.hard)
 
     def clear_hard(self) -> None:
-        self.hard_inputs.clear()
-        self.hard_labels.clear()
+        self.hard.clear()
 
     def hard_as_batch(self, seq_id: int) -> DataBatch:
-        if not self.hard_inputs:
+        if not self.hard:
             raise ValueError("hard pool is empty")
-        return DataBatch(
-            seq_id=seq_id,
-            inputs=np.vstack(self.hard_inputs),
-            labels=np.vstack(self.hard_labels),
-        )
+        return DataBatch(seq_id, np.vstack([b.inputs for b in self.hard]), np.vstack([b.labels for b in self.hard]))
 
 
 def update_recent(pools: PoolSet, batch: DataBatch) -> PoolSet:
@@ -87,17 +81,15 @@ def update_diverse(pools: PoolSet, batch: DataBatch) -> PoolSet:
     first.  A batch within the distance threshold of any member leaves the
     pool unchanged.
     """
-    if not pools.diverse:
-        pools.diverse.append(batch)
-    elif all(batch_distance(batch, m) > pools.distance_threshold for m in pools.diverse):
+    if all(batch_distance(batch, m) > pools.distance_threshold for m in pools.diverse):
         pools.diverse.append(batch)
         while pools.diverse_examples() > pools.capacity and len(pools.diverse) > 1:
-            pools.diverse.pop(0)
+            pools.diverse.popleft()
     return pools
 
 
 def update_hard(pools: PoolSet, batch: DataBatch, per_example_losses: np.ndarray) -> PoolSet:
-    """Keep the examples whose loss lies strictly above the batch mean.
+    """Add the batch's examples whose loss lies strictly above its mean, as one block.
 
     An admitted loss must also exceed the batch minimum: a batch of equal
     losses has none above its mean, but the rounded mean can fall below them.
@@ -106,7 +98,6 @@ def update_hard(pools: PoolSet, batch: DataBatch, per_example_losses: np.ndarray
     if losses.shape != (batch.size,):
         raise ValueError("one loss per example required")
     mask = (losses > losses.mean()) & (losses > losses.min())
-    for i in np.flatnonzero(mask):
-        pools.hard_inputs.append(batch.inputs[i])
-        pools.hard_labels.append(batch.labels[i])
+    if mask.any():
+        pools.hard.append(DataBatch(batch.seq_id, batch.inputs[mask], batch.labels[mask]))
     return pools

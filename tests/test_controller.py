@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from adaptdae import controller
 from adaptdae.controller import (
     ACTIONS,
+    SHORT_WINDOWS,
     ControllerConfig,
     History,
     QModel,
@@ -275,7 +276,7 @@ def folded_state(gen, cls, ratios, kl, cfg):
     """The state computed by re-folding every record seen so far."""
     kl = kl if cfg.state_space in (2, 4) else None
     if cfg.state_space in (1, 2):
-        m1, m2, m3 = cfg.short_windows
+        m1, m2, m3 = SHORT_WINDOWS
         long = 2.0 / (m3 + 1)
         extra = (ema_fold(cls, 2.0 / (m1 + 1)), ema_fold(cls, 2.0 / (m2 + 1)))
         return RlState(ema_fold(gen, long), ema_fold(cls, long), ratios[-1], kl, extra)
@@ -293,10 +294,9 @@ class TestRunningHistory:
         space=st.integers(1, 4),
         ema_alpha=st.one_of(st.none(), st.floats(0.01, 1.0)),
         ema_window=st.integers(1, 60),
-        short_windows=st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40)),
     )
-    def test_running_averages_equal_the_left_fold(self, records, space, ema_alpha, ema_window, short_windows):
-        cfg = cfg_with(state_space=space, ema_alpha=ema_alpha, ema_window=ema_window, short_windows=short_windows)
+    def test_running_averages_equal_the_left_fold(self, records, space, ema_alpha, ema_window):
+        cfg = cfg_with(state_space=space, ema_alpha=ema_alpha, ema_window=ema_window)
         history = History(cfg)
         for i, (lg, lc, ratio, kl) in enumerate(records):
             history.record(lg, lc, ratio, kl)

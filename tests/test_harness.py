@@ -720,6 +720,22 @@ class TestSummaryAndReplay:
         write_trace(str(path), loaded)
         assert path.read_bytes() == written
 
+    @pytest.mark.parametrize(
+        "column", [f.name for f in fields(TraceRecord) if f.type != "str" and not f.type.endswith("| None")]
+    )
+    def test_blank_cell_in_a_non_optional_column_is_rejected(self, tmp_path, column):
+        # a blank e_glb read as None would drop the row from the summary
+        cfg = with_pool(tiny_config(policy="sdae", batches=4))
+        path = tmp_path / "trace.csv"
+        run_experiment(cfg, out_path=str(path))
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = ""
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f": row 2, column {column}: ''"):
+            read_trace(str(path))
+
     def test_summary_window(self):
         cfg = with_pool(tiny_config(policy="sdae", batches=8))
         result = run_experiment(cfg)

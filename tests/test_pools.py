@@ -105,7 +105,7 @@ class TestDiversePool:
         pools = PoolSet(capacity=100, distance_threshold=0.9)
         batch = hist_batch([5, 5])
         update_diverse(pools, batch)
-        assert pools.diverse == [batch]
+        assert list(pools.diverse) == [batch]
 
     def test_near_batch_rejected(self):
         pools = PoolSet(capacity=100, distance_threshold=0.5)
@@ -159,7 +159,7 @@ class TestHardPool:
         batch = hist_batch([2, 1])
         update_hard(pools, batch, np.array([1.0, 2.0, 3.0]))
         assert pools.hard_count() == 1
-        assert np.array_equal(pools.hard_inputs[0], batch.inputs[2])
+        assert np.array_equal(pools.hard_as_batch(seq_id=0).inputs, batch.inputs[2:3])
 
     def test_strictly_fewer_than_all(self):
         rng = np.random.default_rng(1)
@@ -183,6 +183,55 @@ class TestHardPool:
         rebuilt.validate()
         pools.clear_hard()
         assert pools.hard_count() == 0
+
+
+def row_wise_hard_pool(calls):
+    """The hard pool as one entry per example: each row above its batch's
+    mean and minimum, in order, stacked."""
+    inputs, labels = [], []
+    for batch, losses in calls:
+        for i in range(batch.size):
+            if losses[i] > losses.mean() and losses[i] > losses.min():
+                inputs.append(batch.inputs[i])
+                labels.append(batch.labels[i])
+    return inputs, labels
+
+
+class TestHardPoolBlocks:
+    def test_matches_the_row_wise_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            pools = PoolSet(capacity=100, distance_threshold=0.5)
+            calls = []
+            for i in range(int(rng.integers(1, 12))):
+                size = int(rng.integers(1, 21))
+                batch = DataBatch(seq_id=i, inputs=rng.random((size, 4)), labels=np.eye(3)[rng.integers(0, 3, size)])
+                # every third batch ties all its losses, some others repeat a few values
+                if i % 3 == 0:
+                    losses = np.full(size, rng.random())
+                else:
+                    losses = rng.choice(rng.random(3), size) if rng.random() < 0.5 else rng.random(size)
+                blocks = len(pools.hard)
+                update_hard(pools, batch, losses)
+                calls.append((batch, losses))
+                hard_rows, _ = row_wise_hard_pool([(batch, losses)])
+                assert len(pools.hard) - blocks == (1 if hard_rows else 0)
+            inputs, labels = row_wise_hard_pool(calls)
+            assert pools.hard_count() == len(inputs)
+            if inputs:
+                rebuilt = pools.hard_as_batch(seq_id=99)
+                assert rebuilt.inputs.tobytes() == np.vstack(inputs).tobytes()
+                assert rebuilt.labels.tobytes() == np.vstack(labels).tobytes()
+            else:
+                assert pools.hard == []
+
+    def test_batch_without_hard_examples_adds_no_block(self):
+        pools = PoolSet(capacity=100, distance_threshold=0.5)
+        update_hard(pools, hist_batch([1, 2], seq_id=0), np.array([1.0, 2.0, 3.0]))
+        update_hard(pools, hist_batch([3, 3], seq_id=1), np.full(6, 0.7))
+        update_hard(pools, hist_batch([1, 0], seq_id=2), np.array([0.4]))
+        assert [b.seq_id for b in pools.hard] == [0]
+        assert pools.hard_count() == 1
 
 
 class TestSizeBoundsProperty:

@@ -3,22 +3,25 @@ interval its key's field states; inside, it fails at most a cross-field
 rule that names the key.  Every bad key is reported, not only the first."""
 
 import math
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from adaptdae.config import (
     _KEYS,
     ConfigError,
+    ExperimentConfig,
     _parse_optional_float,
     _parse_optional_int,
     _parse_widths,
+    _top_key,
     parse_config,
     validate_experiment,
 )
 from conftest import ranged_keys
 
 RANGED = ranged_keys()
-# numeric keys that state no interval: a cross-field rule or a list of names bounds each
+# numeric keys that state no interval, so they need only be finite: a cross-field rule or a list of names bounds each
 UNRANGED = (
     "rl.warmup_batches",
     "rl.greedy_after",
@@ -115,3 +118,33 @@ def test_every_numeric_key_states_an_interval_or_is_named_unranged():
 def test_every_bad_key_of_a_section_is_reported(lines):
     problems = validate_experiment(parse_config(f"{BASE}{lines}\n"))
     assert [p.split()[0] for p in problems] == [line.split()[0] for line in lines.splitlines()]
+
+
+def numeric_fields():
+    """(key, section, field) for every field of ``ExperimentConfig()`` and its
+    sections that holds a number or a tuple of them, settable or not."""
+    defaults = ExperimentConfig()
+    for top in fields(defaults):
+        section = getattr(defaults, top.name)
+        if is_dataclass(section):
+            yield from ((f"{top.name}.{f.name}", top.name, f) for f in fields(section) if f.type != "str")
+        elif top.type != "str":
+            yield _top_key(top.name), None, top
+
+
+NON_FINITE = [
+    (key, section, f, value)
+    for key, section, f in numeric_fields()
+    for value in (None, math.inf, -math.inf, math.nan)
+]
+
+
+@pytest.mark.parametrize("key, section, f, value", NON_FINITE, ids=[f"{c[0]}={c[3]}" for c in NON_FINITE])
+def test_a_missing_or_non_finite_number_is_reported_not_raised(key, section, f, value):
+    # a config built in code can hold what no config file can parse into
+    cfg = ExperimentConfig()
+    setattr(cfg if section is None else getattr(cfg, section), f.name, value)
+    problems = validate_experiment(cfg)
+    assert isinstance(problems, list)
+    if not (value is None and f.type.endswith("| None")):
+        assert any(p.startswith(f"{key} must be in ") for p in problems), problems
