@@ -136,6 +136,25 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+def _format_value(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ", ".join(str(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def format_config(cfg: ExperimentConfig) -> str:
+    """Config text that ``parse_config`` reads back equal to ``cfg``: one
+    ``key = value`` line per key, in table order.  A string must hold no
+    ``#``, no line break and no outer whitespace to come back unchanged."""
+    lines = []
+    for key, (section, attr, _) in _KEYS.items():
+        value = getattr(cfg if section is None else getattr(cfg, section), attr)
+        lines.append(f"{key} = {_format_value(value)}".rstrip() + "\n")
+    return "".join(lines)
+
+
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
         return parse_config(f.read())

@@ -3,10 +3,12 @@
 Small and deliberately plain: Cholesky factorisation of the jittered Gram
 matrix, zero prior mean over mean-centred targets, and hyperparameter
 selection by scanning a log-spaced grid for the best marginal likelihood.
-The scan computes the pairwise distances once and one ``exp`` per length
-scale, and every fit calls LAPACK ``potrf``/``potrs`` directly: the same
-routines, and the same bits, as scipy's ``cholesky`` and ``cho_solve``
-without their argument checks.  Finiteness is checked here instead.
+The scan computes the pairwise distances once and scores its candidates
+grouped by length scale, with one ``exp`` per group, factorising each
+candidate's Gram matrix in place.  Every fit calls LAPACK ``potrf``/``potrs``
+directly: the same routines, and the same bits, as scipy's ``cholesky`` and
+``cho_solve`` without their argument checks.  Finiteness is checked here
+instead.
 The routines come from scipy's compiled ``scipy.linalg._flapack`` module,
 loaded by file on the first fit, so no run imports the ``scipy.linalg``
 package and its ~0.1 s set-up.  Fitted models are immutable; predictions
@@ -179,6 +181,49 @@ def log_marginal_likelihood(
     return fit(inputs, targets, sigma_f, length_scale, noise_var).log_marginal
 
 
+def _candidate_scores(
+    X: np.ndarray, yc: np.ndarray, noise_var: float, candidates: list[tuple[float, float]]
+) -> list[float | None]:
+    """Log marginal likelihood of each ``(sigma_f, length_scale)`` candidate,
+    in candidate order, None where no jitter factorises; each equals
+    ``fit``'s bit for bit.
+
+    Candidates are scored grouped by length scale: a group shares one
+    ``exp`` and one finiteness check of its noisy diagonals, and each
+    candidate's Gram matrix is factorised in place in one reused buffer.
+    """
+    lapack = _flapack()
+    groups: dict[float, list[int]] = {}
+    for i, (_, length_scale) in enumerate(candidates):
+        groups.setdefault(length_scale, []).append(i)
+    sq = _sq_dists(X, X)
+    K = np.empty_like(sq)
+    half_n_log_2pi = 0.5 * yc.shape[0] * math.log(2.0 * math.pi)
+    scores: list[float | None] = [None] * len(candidates)
+    for length_scale, members in groups.items():
+        D = _finite(_decay(sq, length_scale), "the Gram matrix")
+        s2 = np.array([candidates[i][0] ** 2 for i in members], dtype=np.float64)
+        diags = _finite(s2[:, None] * D.diagonal() + noise_var, "the noisy Gram diagonal")
+        for i, sigma2, diag in zip(members, s2, diags):
+            for jitter in JITTERS:
+                # K.T is Fortran-ordered, so potrf factorises it where it lies
+                # and reads K's upper triangle: _sq_dists(X, X) is exactly
+                # symmetric, so that is the lower one
+                np.multiply(D, sigma2, out=K)
+                np.fill_diagonal(K, diag + jitter)
+                L, info = lapack.dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
+                if info == 0:
+                    break
+            else:
+                continue
+            alpha, _ = lapack.dpotrs(L, yc, lower=1)
+            # one log and one sum of the strided diagonal per candidate, as
+            # _solve takes them: a group's diagonals logged and summed as one
+            # 2-D array may take other numpy loops and round differently
+            scores[i] = -0.5 * float(yc @ alpha) - float(np.sum(np.log(L.diagonal()))) - half_n_log_2pi
+    return scores
+
+
 def optimize_hyperparams(
     inputs: np.ndarray,
     targets: np.ndarray,
@@ -196,21 +241,12 @@ def optimize_hyperparams(
     grid = [(float(s), float(l)) for s in SIGMA_GRID for l in LENGTH_GRID]
     # an equal grid point would score the same and lose the strict tie below
     candidates = [initial] + [c for c in grid if c != initial]
-    # what the candidates share: the distances, and one exp per length scale
-    sq = _sq_dists(X, X)
-    decays = {}
     best = None
     best_lml = -np.inf
-    for sigma_f, length_scale in candidates:
-        if length_scale not in decays:
-            decays[length_scale] = _finite(_decay(sq, length_scale), "the Gram matrix")
-        try:
-            lml = _solve(sigma_f**2 * decays[length_scale], yc, noise_var)[3]
-        except np.linalg.LinAlgError:
-            continue
-        if lml > best_lml:
+    for candidate, lml in zip(candidates, _candidate_scores(X, yc, noise_var, candidates)):
+        if lml is not None and lml > best_lml:
             best_lml = lml
-            best = (sigma_f, length_scale)
+            best = candidate
     if best is None:
         raise np.linalg.LinAlgError("every hyperparameter candidate failed to factorise")
     return best

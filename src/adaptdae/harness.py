@@ -319,7 +319,8 @@ def summarize(records: list[TraceRecord], last: int) -> Summary:
     """Mean and population standard deviation over the last ``last`` records."""
     tail = records[-last:]
     lcl = [r.e_lcl for r in tail if r.e_lcl is not None]
-    glb = [r.e_glb for r in tail if r.e_glb is not None]
+    # every row has an e_glb: float() raises on a None, where numpy would read NaN
+    glb = [float(r.e_glb) for r in tail]
 
     def stats(values):
         if not values:

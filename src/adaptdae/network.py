@@ -333,18 +333,29 @@ class NetworkGrads:
     out_b: np.ndarray
 
 
-def _encoder_backward(layers: list[Layer], acts: list[np.ndarray], d_top: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each layer's ``(dW, db)`` from the gradient ``d_top`` at the top code."""
+def _encoder_backward(
+    layers: list[Layer], acts: list[np.ndarray], d_top: np.ndarray, stop: int = 0
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(dW, db)`` of each layer from ``stop`` up, from the gradient
+    ``d_top`` at the top code."""
     grads = []
     da = d_top
-    for i in range(len(layers) - 1, -1, -1):
+    for i in range(len(layers) - 1, stop - 1, -1):
         a = acts[i + 1]
         dz = da * a * (1.0 - a)
         grads.append((dz.T @ acts[i], dz.sum(axis=0)))
-        if i > 0:  # nothing reads the gradient of the input
+        if i > stop:  # nothing reads the gradient below the lowest layer
             da = dz @ layers[i].W
     grads.reverse()
     return grads
+
+
+def _output_delta(y_hat: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the mean label cross-entropy at the softmax's input."""
+    q = _clamp_prob(y_hat)
+    # cross-entropy derivative w.r.t. the probabilities, then through softmax
+    g = (-(labels / q) + (1.0 - labels) / (1.0 - q)) / labels.shape[0]
+    return y_hat * (g - np.sum(g * y_hat, axis=1, keepdims=True))
 
 
 def _reconstruction_grads(
@@ -402,10 +413,7 @@ def network_gradients(
         fwd = forward(net, batch.inputs, decode=hybrid_weight != 0.0)
     acts, y_hat, labels = fwd.acts, fwd.y_hat, batch.labels
     disc = float(cross_entropy(labels, y_hat).mean())
-    q = _clamp_prob(y_hat)
-    # cross-entropy derivative w.r.t. the probabilities, then through softmax
-    g = (-(labels / q) + (1.0 - labels) / (1.0 - q)) / labels.shape[0]
-    dz = y_hat * (g - np.sum(g * y_hat, axis=1, keepdims=True))
+    dz = _output_delta(y_hat, labels)
     enc = _encoder_backward(net.layers, acts, dz @ net.out_W)
     if hybrid_weight == 0.0:
         layers = [LayerGrads(dW, db, np.zeros_like(l.b_rec)) for l, (dW, db) in zip(net.layers, enc)]

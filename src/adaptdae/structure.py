@@ -7,8 +7,10 @@ from enum import Enum
 
 import numpy as np
 
-from .network import DataBatch, Layer, Network, NetworkGrads, corrupt, dae_gradients, glorot_limit
-from .network import finetune, network_gradients  # module attributes here: the benchmark wraps them
+from .network import DataBatch, Layer, Network, corrupt, dae_gradients, forward, glorot_limit
+from .network import _encoder_backward, _output_delta
+# module attributes here because the benchmark wraps them; no code here calls network_gradients
+from .network import finetune, network_gradients
 
 
 class ActionKind(str, Enum):
@@ -17,13 +19,10 @@ class ActionKind(str, Enum):
     MERGE = "merge"
 
 
-def _downstream(net: Network, new: np.ndarray | None = None, grads: NetworkGrads | None = None) -> np.ndarray:
+def _downstream(net: Network, new: np.ndarray | None = None) -> np.ndarray:
     # the matrix whose columns index first-layer nodes: layers[1].W, or the
-    # read-out out_W of a one-layer net; ``new`` replaces it, ``grads`` reads its gradient
-    if len(net.layers) > 1:
-        owner, attr = (net.layers[1], "W") if grads is None else (grads.layers[1], "dW")
-    else:
-        owner, attr = (net if grads is None else grads), "out_W"
+    # read-out out_W of a one-layer net; ``new`` replaces it
+    owner, attr = (net.layers[1], "W") if len(net.layers) > 1 else (net, "out_W")
     if new is not None:
         setattr(owner, attr, new)
     return getattr(owner, attr)
@@ -76,11 +75,19 @@ def _train_new_rows(net: Network, old_h: int, batches: list[DataBatch], rng: np.
 
 
 def _train_new_columns(net: Network, old_h: int, batches: list[DataBatch]) -> None:
-    # one supervised pass moving only the columns fed by the new nodes
+    # one supervised pass moving only the columns fed by the new nodes: the
+    # label backward of network_gradients, stopped at the downstream matrix.
+    # The full gradient is sliced, not a column slice multiplied, because a
+    # matmul's shape can change its rounding
     down = _downstream(net)
     for batch in batches:
-        grads, _, _ = network_gradients(net, batch, hybrid_weight=0.0)
-        down[:, old_h:] -= net.learning_rate * _downstream(net, grads=grads)[:, old_h:]
+        fwd = forward(net, batch.inputs, decode=False)
+        dz = _output_delta(fwd.y_hat, batch.labels)
+        if len(net.layers) > 1:
+            dW, _ = _encoder_backward(net.layers, fwd.acts, dz @ net.out_W, stop=1)[0]
+        else:
+            dW = dz.T @ fwd.acts[-1]
+        down[:, old_h:] -= net.learning_rate * dW[:, old_h:]
 
 
 def closest_pairs(W: np.ndarray, count: int) -> list[tuple[int, int]]:

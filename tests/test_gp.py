@@ -5,11 +5,13 @@ import os
 import pickle
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import cho_solve, cholesky
 
 from adaptdae import gp
@@ -133,6 +135,66 @@ class TestReferenceEquality:
             except np.linalg.LinAlgError:
                 lmls.append(-np.inf)
         assert best == candidates(initial)[int(np.argmax(lmls))]
+
+
+@st.composite
+def search_problems(draw):
+    """Up to 150 observations (the desk's ``rl.max_observations``), some
+    rows repeated, and a noise variance: zero, so that repeated rows need
+    jitter escalation; negative, so that more of them do; or so negative
+    that every candidate fails."""
+    n = draw(st.integers(2, 150))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(scale=draw(st.sampled_from([0.01, 1.0, 3.0])), size=(n, d))
+    repeats = draw(st.integers(0, n - 1))
+    if repeats:
+        X[rng.choice(n, repeats, replace=False)] = X[rng.integers(0, n, repeats)]
+    noise_var = draw(st.sampled_from([0.0, 0.0, 1e-2, 0.2, -5e-8, -1e3]))
+    initial = draw(st.one_of(st.just((1.0, 1.0)), st.tuples(st.floats(0.1, 10.0), st.floats(0.05, 5.0))))
+    return X, rng.normal(size=n), noise_var, initial
+
+
+# a Gram matrix that factorises only from the fourth jitter on, at (1, 1)
+ESCALATING = (np.linspace(0.0, 1.0, 30)[:, None], np.sin(3.0 * np.linspace(0.0, 1.0, 30)), -5e-8, (1.0, 1.0))
+
+
+class TestCandidateScores:
+    @settings(max_examples=40, deadline=None)
+    @given(problem=search_problems())
+    @example(problem=ESCALATING)
+    def test_every_score_is_the_references_bit_for_bit(self, problem):
+        X, y, noise_var, initial = problem
+        scores = gp._candidate_scores(X, y - float(y.mean()), noise_var, candidates(initial))
+        for (sigma_f, length_scale), score in zip(candidates(initial), scores, strict=True):
+            try:
+                lml = reference_fit(X, y, sigma_f, length_scale, noise_var)[3]
+            except np.linalg.LinAlgError:
+                assert score is None
+                continue
+            assert score is not None and np.float64(score).tobytes() == np.float64(lml).tobytes()
+
+    def test_the_example_escalates_and_the_all_fail_case_raises(self):
+        X, y, noise_var, initial = ESCALATING
+        assert fit(X, y, *initial, noise_var).jitter == JITTERS[3]
+        assert gp._candidate_scores(X, y - y.mean(), -1e3, candidates(initial)) == [None] * 50
+        with pytest.raises(np.linalg.LinAlgError, match="every hyperparameter candidate"):
+            optimize_hyperparams(X, y, -1e3, initial)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        X=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+            elements=st.floats(-1e3, 1e3, allow_subnormal=False),
+        ),
+        fortran=st.booleans(),
+    )
+    def test_squared_distances_are_exactly_symmetric(self, X, fortran):
+        # in-place factorisation reads the upper triangle as the lower one
+        X = np.asfortranarray(X) if fortran else X
+        sq = gp._sq_dists(X, X)
+        assert sq.tobytes() == np.ascontiguousarray(sq.T).tobytes()
 
 
 class TestNonFinite:
@@ -412,8 +474,15 @@ def test_an_initial_on_the_grid_is_solved_once(initial, monkeypatch):
         "off the grid": (1.0, 1.0),
     }[initial]
     expected = reference_search(X, y, 0.2, start)
-    solves = []
-    solve = gp._solve
-    monkeypatch.setattr(gp, "_solve", lambda *args: solves.append(args) or solve(*args))
+    lapack = gp._flapack()
+    infos = []
+
+    def dpotrf(*args, **kwargs):
+        L, info = lapack.dpotrf(*args, **kwargs)
+        infos.append(info)
+        return L, info
+
+    monkeypatch.setattr(gp, "_flapack", lambda: types.SimpleNamespace(dpotrf=dpotrf, dpotrs=lapack.dpotrs))
     assert optimize_hyperparams(X, y, 0.2, start) == expected
-    assert len(solves) == (50 if initial == "off the grid" else 49)
+    # at this noise every candidate factorises at the first jitter: one call each
+    assert infos == [0] * (50 if initial == "off the grid" else 49)

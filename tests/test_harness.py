@@ -22,6 +22,8 @@ from adaptdae.config import (
     _parse_optional_float,
     _parse_optional_int,
     _parse_widths,
+    format_config,
+    load_config,
     parse_config,
     validate_experiment,
 )
@@ -119,6 +121,59 @@ class TestConfigParsing:
 
     def test_validate_accepts_defaults(self):
         assert validate_experiment(ExperimentConfig()) == []
+
+
+def interval_values(kind, interval):
+    """Values of an ``int`` or ``float`` annotation inside ``interval``,
+    finite when the field states none."""
+    text = interval or "(-inf, inf)"
+    low, high = (float(end) for end in text[1:-1].split(","))
+    if kind == "float":
+        return st.floats(
+            low, high, exclude_min=text[0] == "(", exclude_max=text[-1] == ")", allow_nan=False, allow_infinity=False
+        )
+    low = -(2**63) if math.isinf(low) else math.floor(low) + 1 if text[0] == "(" else math.ceil(low)
+    high = 2**63 if math.isinf(high) else math.ceil(high) - 1 if text[-1] == ")" else math.floor(high)
+    return st.integers(low, high)
+
+
+# a string that one config line carries unchanged
+CONFIG_STRINGS = st.text().filter(lambda t: "#" not in t and t == t.strip() and len(t.splitlines()) <= 1)
+
+
+def key_values(annotation, interval):
+    if annotation == "str":
+        return CONFIG_STRINGS
+    if annotation == "tuple[int, ...]":
+        return st.lists(interval_values("int", interval), min_size=1, max_size=4).map(tuple)
+    values = interval_values(annotation.removesuffix(" | None"), interval)
+    return st.none() | values if annotation.endswith("| None") else values
+
+
+@st.composite
+def configs(draw):
+    """An ``ExperimentConfig`` with every settable key drawn from its field's
+    annotation and interval."""
+    cfg = ExperimentConfig()
+    for key, (section, attr, _) in _KEYS.items():
+        owner = cfg if section is None else getattr(cfg, section)
+        f = {f.name: f for f in fields(owner)}[attr]
+        setattr(owner, attr, draw(key_values(f.type, f.metadata.get("interval")), label=key))
+    return cfg
+
+
+class TestFormatConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=configs())
+    def test_parse_reads_back_what_format_writes(self, cfg):
+        assert parse_config(format_config(cfg)) == cfg
+
+    def test_desk_config_reparses_equal(self):
+        cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"))
+        text = format_config(cfg)
+        assert parse_config(text) == cfg
+        assert text.splitlines()[:2] == ["policy = radae", "seed = 1"]
+        assert [line.partition("=")[0].strip() for line in text.splitlines()] == list(_KEYS)
 
 
 # the table as it was written out by hand, one line per key, before it was
@@ -744,3 +799,9 @@ class TestSummaryAndReplay:
         lcl = [r.e_lcl for r in tail if r.e_lcl is not None]
         assert summary.e_lcl_mean == pytest.approx(float(np.mean(lcl)))
         assert summary.window == 5
+
+    def test_a_missing_global_error_raises_rather_than_shrinking_the_mean(self):
+        records = run_experiment(with_pool(tiny_config(policy="sdae", batches=4))).records
+        records[-2] = replace(records[-2], e_glb=None)
+        with pytest.raises(TypeError):
+            summarize(records, 3)
