@@ -7,7 +7,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import POLICIES, ConfigError, load_config, validate_experiment
+from .config import POLICIES, ConfigError, ExperimentConfig, load_config, validate_experiment
 from .harness import replay_summary, run_experiment
 
 
@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("replay", help="recompute summary statistics from a trace")
     rep.add_argument("trace")
-    rep.add_argument("--last", type=_positive_int, default=250)
+    rep.add_argument("--last", type=_positive_int, default=ExperimentConfig.summary_last)
     return parser
 
 

@@ -3,12 +3,13 @@
 Small and deliberately plain: Cholesky factorisation of the jittered Gram
 matrix, zero prior mean over mean-centred targets, and hyperparameter
 selection by scanning a log-spaced grid for the best marginal likelihood.
-The scan computes the pairwise distances once and scores its candidates
-grouped by length scale, with one ``exp`` per group, factorising each
-candidate's Gram matrix in place.  Every fit calls LAPACK ``potrf``/``potrs``
-directly: the same routines, and the same bits, as scipy's ``cholesky`` and
-``cho_solve`` without their argument checks.  Finiteness is checked here
-instead.
+One routine, ``_solve_candidates``, factorises and solves: the scan hands
+it every candidate at once, and ``fit`` is its one-candidate case.  It
+computes the pairwise distances once, takes one ``exp`` per length scale
+and factorises each candidate's Gram matrix in place.  It calls LAPACK
+``potrf``/``potrs`` directly: the same routines, and the same bits, as
+scipy's ``cholesky`` and ``cho_solve`` without their argument checks.
+Finiteness is checked here instead.
 The routines come from scipy's compiled ``scipy.linalg._flapack`` module,
 loaded by file on the first fit, so no run imports the ``scipy.linalg``
 package and its ~0.1 s set-up.  Fitted models are immutable; predictions
@@ -66,7 +67,6 @@ class GprModel:
     length_scale: float
     noise_var: float
     jitter: float
-    chol_factor: np.ndarray
     alpha_vec: np.ndarray
     target_mean: float
     log_marginal: float
@@ -95,22 +95,6 @@ def _flapack():
     return module
 
 
-def _factorise(K: np.ndarray, noise_var: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of ``K + (noise_var + jitter) I`` for the least
-    jitter that factorises.  Overwrites the diagonal of ``K``."""
-    dpotrf = _flapack().dpotrf
-    diag = _finite(K.diagonal() + noise_var, "the noisy Gram diagonal")
-    for jitter in JITTERS:
-        np.fill_diagonal(K, diag + jitter)
-        L, info = dpotrf(K, lower=1, clean=1)
-        if info == 0:
-            return L, jitter
-    raise np.linalg.LinAlgError(
-        "Gram matrix stayed non positive definite after jitter escalation: "
-        f"{info}-th leading minor of the array is not positive definite"
-    )
-
-
 def _observations(inputs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Inputs, targets, mean-centred targets and their mean, checked once per call."""
     X = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
@@ -123,17 +107,48 @@ def _observations(inputs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, 
     return X, y, _finite(y - mean, "targets"), mean
 
 
-def _solve(K: np.ndarray, yc: np.ndarray, noise_var: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Factor, weights, jitter and log marginal likelihood for one finite
-    Gram matrix (GPML Algorithm 2.1).  Overwrites the diagonal of ``K``."""
-    L, jitter = _factorise(K, noise_var)
-    alpha, _ = _flapack().dpotrs(L, yc, lower=1)
-    lml = (
-        -0.5 * float(yc @ alpha)
-        - float(np.sum(np.log(np.diag(L))))
-        - 0.5 * yc.shape[0] * math.log(2.0 * math.pi)
-    )
-    return L, alpha, jitter, lml
+def _solve_candidates(
+    X: np.ndarray, yc: np.ndarray, noise_var: float, candidates: list[tuple[float, float]]
+) -> list[tuple[np.ndarray, float, float] | None]:
+    """Weights, jitter and log marginal likelihood of each ``(sigma_f,
+    length_scale)`` candidate (GPML Algorithm 2.1), in candidate order; None
+    where no jitter factorises ``K + (noise_var + jitter) I``.
+
+    Candidates are solved grouped by length scale: a group shares one
+    ``exp`` and one finiteness check of its noisy diagonals, and each
+    candidate's Gram matrix is factorised in place in one reused buffer.
+    """
+    lapack = _flapack()
+    groups: dict[float, list[int]] = {}
+    for i, (_, length_scale) in enumerate(candidates):
+        groups.setdefault(length_scale, []).append(i)
+    sq = _sq_dists(X, X)
+    K = np.empty_like(sq)
+    half_n_log_2pi = 0.5 * yc.shape[0] * math.log(2.0 * math.pi)
+    solved: list[tuple[np.ndarray, float, float] | None] = [None] * len(candidates)
+    for length_scale, members in groups.items():
+        D = _finite(_decay(sq, length_scale), "the Gram matrix")
+        s2 = np.array([candidates[i][0] ** 2 for i in members], dtype=np.float64)
+        diags = _finite(s2[:, None] * D.diagonal() + noise_var, "the noisy Gram diagonal")
+        for i, sigma2, diag in zip(members, s2, diags):
+            for jitter in JITTERS:
+                # K.T is Fortran-ordered, so potrf factorises it where it lies
+                # and reads K's upper triangle: _sq_dists(X, X) is exactly
+                # symmetric, so that is the lower one
+                np.multiply(D, sigma2, out=K)
+                np.fill_diagonal(K, diag + jitter)
+                L, info = lapack.dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
+                if info == 0:
+                    break
+            else:
+                continue
+            alpha, _ = lapack.dpotrs(L, yc, lower=1)
+            # one log and one sum of the strided diagonal per candidate: a
+            # group's diagonals logged and summed as one 2-D array may take
+            # other numpy loops and round differently
+            lml = -0.5 * float(yc @ alpha) - float(np.sum(np.log(L.diagonal()))) - half_n_log_2pi
+            solved[i] = (alpha, jitter, lml)
+    return solved
 
 
 def fit(
@@ -143,10 +158,13 @@ def fit(
     length_scale: float = 1.0,
     noise_var: float = 0.0,
 ) -> GprModel:
-    """Factorise the training covariance and solve for the weight vector."""
+    """Factorise the training covariance and solve for the weight vector:
+    the search's solve with one candidate."""
     X, y, yc, mean = _observations(inputs, targets)
-    K = _finite(kernel_matrix(X, X, sigma_f, length_scale), "the Gram matrix")
-    L, alpha, jitter, lml = _solve(K, yc, noise_var)
+    (solved,) = _solve_candidates(X, yc, noise_var, [(sigma_f, length_scale)])
+    if solved is None:
+        raise np.linalg.LinAlgError("Gram matrix stayed non positive definite after jitter escalation")
+    alpha, jitter, lml = solved
     return GprModel(
         train_inputs=X,
         train_targets=y,
@@ -154,7 +172,6 @@ def fit(
         length_scale=float(length_scale),
         noise_var=float(noise_var),
         jitter=jitter,
-        chol_factor=L,
         alpha_vec=alpha,
         target_mean=mean,
         log_marginal=lml,
@@ -181,49 +198,6 @@ def log_marginal_likelihood(
     return fit(inputs, targets, sigma_f, length_scale, noise_var).log_marginal
 
 
-def _candidate_scores(
-    X: np.ndarray, yc: np.ndarray, noise_var: float, candidates: list[tuple[float, float]]
-) -> list[float | None]:
-    """Log marginal likelihood of each ``(sigma_f, length_scale)`` candidate,
-    in candidate order, None where no jitter factorises; each equals
-    ``fit``'s bit for bit.
-
-    Candidates are scored grouped by length scale: a group shares one
-    ``exp`` and one finiteness check of its noisy diagonals, and each
-    candidate's Gram matrix is factorised in place in one reused buffer.
-    """
-    lapack = _flapack()
-    groups: dict[float, list[int]] = {}
-    for i, (_, length_scale) in enumerate(candidates):
-        groups.setdefault(length_scale, []).append(i)
-    sq = _sq_dists(X, X)
-    K = np.empty_like(sq)
-    half_n_log_2pi = 0.5 * yc.shape[0] * math.log(2.0 * math.pi)
-    scores: list[float | None] = [None] * len(candidates)
-    for length_scale, members in groups.items():
-        D = _finite(_decay(sq, length_scale), "the Gram matrix")
-        s2 = np.array([candidates[i][0] ** 2 for i in members], dtype=np.float64)
-        diags = _finite(s2[:, None] * D.diagonal() + noise_var, "the noisy Gram diagonal")
-        for i, sigma2, diag in zip(members, s2, diags):
-            for jitter in JITTERS:
-                # K.T is Fortran-ordered, so potrf factorises it where it lies
-                # and reads K's upper triangle: _sq_dists(X, X) is exactly
-                # symmetric, so that is the lower one
-                np.multiply(D, sigma2, out=K)
-                np.fill_diagonal(K, diag + jitter)
-                L, info = lapack.dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
-                if info == 0:
-                    break
-            else:
-                continue
-            alpha, _ = lapack.dpotrs(L, yc, lower=1)
-            # one log and one sum of the strided diagonal per candidate, as
-            # _solve takes them: a group's diagonals logged and summed as one
-            # 2-D array may take other numpy loops and round differently
-            scores[i] = -0.5 * float(yc @ alpha) - float(np.sum(np.log(L.diagonal()))) - half_n_log_2pi
-    return scores
-
-
 def optimize_hyperparams(
     inputs: np.ndarray,
     targets: np.ndarray,
@@ -243,10 +217,9 @@ def optimize_hyperparams(
     candidates = [initial] + [c for c in grid if c != initial]
     best = None
     best_lml = -np.inf
-    for candidate, lml in zip(candidates, _candidate_scores(X, yc, noise_var, candidates)):
-        if lml is not None and lml > best_lml:
-            best_lml = lml
-            best = candidate
+    for candidate, solved in zip(candidates, _solve_candidates(X, yc, noise_var, candidates)):
+        if solved is not None and solved[2] > best_lml:
+            best, best_lml = candidate, solved[2]
     if best is None:
         raise np.linalg.LinAlgError("every hyperparameter candidate failed to factorise")
     return best

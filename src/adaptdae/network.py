@@ -253,10 +253,7 @@ def _output(net: Network, top: np.ndarray) -> np.ndarray:
 
 def predict(net: Network, x: np.ndarray) -> np.ndarray:
     """Class probabilities for one example or a batch."""
-    h = np.asarray(x)
-    for layer in net.layers:
-        h = encode(layer, h)
-    return _output(net, h)
+    return _output(net, _encode_stack(net, x)[-1])
 
 
 @dataclass(frozen=True)

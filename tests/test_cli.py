@@ -1,4 +1,5 @@
 import os
+import types
 
 import numpy as np
 import pytest
@@ -117,12 +118,16 @@ class TestRuntimeFailures:
         path = tmp_path / "radae.cfg"
         path.write_text(GOOD_CONFIG.replace("policy = sdae", "policy = radae"))
 
-        def not_positive_definite(K, noise_var):
-            raise np.linalg.LinAlgError("not positive definite")
+        lapack = gp._flapack()
 
-        monkeypatch.setattr(gp, "_factorise", not_positive_definite)
+        def not_positive_definite(a, **kwargs):
+            return a, 1
+
+        monkeypatch.setattr(
+            gp, "_flapack", lambda: types.SimpleNamespace(dpotrf=not_positive_definite, dpotrs=lapack.dpotrs)
+        )
         assert main(["run", "--config", str(path), "--out", ""]) == 1
-        assert capsys.readouterr().err.startswith("runtime failure: LinAlgError: not positive definite")
+        assert capsys.readouterr().err.startswith("runtime failure: LinAlgError: Gram matrix stayed non positive")
 
     def test_numerical_breakdown_exits_1(self, config_path, monkeypatch, capsys):
         real_finetune = harness.finetune
@@ -269,6 +274,16 @@ class TestReplay:
         assert run_line.split("e_lcl=")[1] == replay_line.split("e_lcl=")[1]
         summary = replay_summary(out, 4)
         assert summary.window == 4
+
+    def test_replay_defaults_to_the_runs_own_window(self, tmp_path, capsys):
+        path = tmp_path / "default_window.cfg"
+        path.write_text(GOOD_CONFIG.replace("summary_last = 4\n", ""))
+        out = str(tmp_path / "trace.csv")
+        assert main(["run", "--config", str(path), "--out", out]) == 0
+        run_line = capsys.readouterr().out.strip().splitlines()[-1].split(" -> ")[0]
+        assert main(["replay", out]) == 0
+        replay_line = capsys.readouterr().out.strip()
+        assert replay_line[replay_line.index(" last=") :] == run_line[run_line.index(" last=") :]
 
     @pytest.mark.parametrize("last", ["0", "-5"])
     def test_non_positive_last_exits_2(self, config_path, tmp_path, capsys, last):
