@@ -42,7 +42,11 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _decay(sq: np.ndarray, length_scale: float) -> np.ndarray:
-    return np.exp(-sq / (2.0 * length_scale**2))
+    # in one fresh buffer; sq stays as it is, since the search reuses it
+    # for every length scale
+    out = np.negative(sq)
+    out /= 2.0 * length_scale**2
+    return np.exp(out, out=out)
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, sigma_f: float, length_scale: float) -> np.ndarray:

@@ -10,26 +10,33 @@ terms stay finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 PROB_EPS = 1e-7
 
 
-def sigmoid(v: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, elementwise.
+def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function, elementwise, with one ``exp``.
 
     ``exp`` only ever sees values <= 0, so it cannot overflow: the result
     is ``e^min(v, 0) / (1 + e^-|v|)``, that is ``e^v / (1 + e^v)`` for
-    ``v < 0`` and ``1 / (1 + e^-v)`` otherwise.
+    ``v < 0`` and ``1 / (1 + e^-v)`` otherwise.  The numerator needs no
+    ``exp`` of its own: for ``v < 0`` it is the denominator's ``e^-|v|``,
+    and for ``v >= 0`` it is 1, which ``max(v >= 0, e^-|v|)`` picks.  With
+    ``out`` (``v`` itself allowed) the result is written there.
     """
     v = np.asarray(v, dtype=np.float64)
-    # two buffers, each filled in place; out= keeps a 0-d input a 0-d array
-    out = np.minimum(v, 0.0, out=np.empty_like(v))
-    np.exp(out, out=out)
+    # e^-|v| is taken before out is written, since out may be v; out=
+    # keeps a 0-d input a 0-d array
     den = np.abs(v, out=np.empty_like(v))
     np.negative(den, out=den)
     np.exp(den, out=den)
+    if out is None:
+        out = np.empty_like(v)
+    np.greater_equal(v, 0.0, out=out)
+    np.maximum(out, den, out=out)
     den += 1.0
     out /= den
     return out
@@ -219,7 +226,7 @@ def encode(layer: Layer, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {layer.n_input} inputs, got {x.shape[-1]}")
     z = x @ layer.W.T
     z += layer.b
-    return sigmoid(z)
+    return sigmoid(z, out=z)
 
 
 def decode(layer: Layer, h: np.ndarray) -> np.ndarray:
@@ -228,7 +235,7 @@ def decode(layer: Layer, h: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {layer.n_hidden} codes, got {h.shape[-1]}")
     z = h @ layer.W
     z += layer.b_rec
-    return sigmoid(z)
+    return sigmoid(z, out=z)
 
 
 def _encode_stack(net: Network, X: np.ndarray) -> list[np.ndarray]:
@@ -262,27 +269,28 @@ class Forward:
 
     ``acts[0]`` is the input and ``acts[i + 1]`` the code of layer ``i``;
     ``recs[i]`` reconstructs ``acts[i]`` down the decoder, so ``recs[0]``
-    is ``x_hat``; ``rec_losses`` is the reconstruction error per example
-    and ``y_hat`` the softmax output.  Built without the decoder,
-    ``recs`` and ``rec_losses`` are None.  It stays valid only while the
-    network's parameters are unchanged.
+    is ``x_hat``; ``y_hat`` is the softmax output and ``rec_losses`` the
+    reconstruction error per example, computed on its first read, so a
+    forward that only feeds a gradient never computes it.  Built without
+    the decoder, ``recs`` and ``rec_losses`` are None.  It stays valid only
+    while the network's parameters are unchanged.
     """
 
     acts: list[np.ndarray]
     recs: list[np.ndarray] | None
-    rec_losses: np.ndarray | None
     y_hat: np.ndarray
+
+    @cached_property
+    def rec_losses(self) -> np.ndarray | None:
+        return None if self.recs is None else cross_entropy(self.acts[0], self.recs[0])
 
 
 def forward(net: Network, X: np.ndarray, decode: bool = True) -> Forward:
     """Run ``X`` up the encoder, through the read-out and, unless
     ``decode`` is false, back down the decoder."""
     acts = _encode_stack(net, X)
-    recs = rec_losses = None
-    if decode:
-        recs = _decode_stack(net, acts[-1])
-        rec_losses = cross_entropy(acts[0], recs[0])
-    return Forward(acts, recs, rec_losses, _output(net, acts[-1]))
+    recs = _decode_stack(net, acts[-1]) if decode else None
+    return Forward(acts, recs, _output(net, acts[-1]))
 
 
 def per_example_reconstruction_loss(net: Network, X: np.ndarray, fwd: Forward | None = None) -> np.ndarray:
@@ -339,7 +347,8 @@ def _encoder_backward(
     da = d_top
     for i in range(len(layers) - 1, stop - 1, -1):
         a = acts[i + 1]
-        dz = da * a * (1.0 - a)
+        dz = da * a
+        dz *= 1.0 - a
         grads.append((dz.T @ acts[i], dz.sum(axis=0)))
         if i > stop:  # nothing reads the gradient below the lowest layer
             da = dz @ layers[i].W
@@ -373,7 +382,8 @@ def _reconstruction_grads(
         dec.append((h.T @ du, du.sum(axis=0)))
         du = du @ layer.W.T
         if i + 1 < len(layers):
-            du = du * h * (1.0 - h)
+            du *= h
+            du *= 1.0 - h
     # tied weights: the encoder's part of dW joins the decoder's
     return [
         LayerGrads(np.add(dW_dec, dW, out=dW_dec), db, db_rec)
@@ -398,43 +408,59 @@ def network_loss(net: Network, batch: DataBatch, hybrid_weight: float) -> tuple[
     return disc + hybrid_weight * gen, disc, gen
 
 
+def _gradients(net: Network, batch: DataBatch, hybrid_weight: float, fwd: Forward | None = None) -> NetworkGrads:
+    """Analytic gradients of the mean hybrid objective; no loss value is
+    computed.  Without ``fwd`` the decoder stack runs only if
+    ``hybrid_weight`` is non-zero."""
+    if fwd is None:
+        fwd = forward(net, batch.inputs, decode=hybrid_weight != 0.0)
+    acts = fwd.acts
+    dz = _output_delta(fwd.y_hat, batch.labels)
+    enc = _encoder_backward(net.layers, acts, dz @ net.out_W)
+    if hybrid_weight == 0.0:
+        layers = [LayerGrads(dW, db, np.zeros_like(l.b_rec)) for l, (dW, db) in zip(net.layers, enc)]
+    else:
+        rec = _reconstruction_grads(net.layers, acts, fwd.recs[1:], fwd.recs[0] - acts[0])
+        layers = [
+            LayerGrads(dW + hybrid_weight * r.dW, db + hybrid_weight * r.db, hybrid_weight * r.db_rec)
+            for (dW, db), r in zip(enc, rec)
+        ]
+    return NetworkGrads(layers, dz.T @ acts[-1], dz.sum(axis=0))
+
+
 def network_gradients(
     net: Network, batch: DataBatch, hybrid_weight: float, fwd: Forward | None = None
 ) -> tuple[NetworkGrads, float, float]:
-    """Analytic gradients of the mean hybrid objective, without updating.
+    """Analytic gradients of the mean hybrid objective, without updating,
+    with its label and reconstruction terms (0 when ``hybrid_weight`` is).
 
     Without ``fwd`` the decoder stack runs only if ``hybrid_weight`` is
     non-zero.
     """
     if fwd is None:
         fwd = forward(net, batch.inputs, decode=hybrid_weight != 0.0)
-    acts, y_hat, labels = fwd.acts, fwd.y_hat, batch.labels
-    disc = float(cross_entropy(labels, y_hat).mean())
-    dz = _output_delta(y_hat, labels)
-    enc = _encoder_backward(net.layers, acts, dz @ net.out_W)
-    if hybrid_weight == 0.0:
-        layers = [LayerGrads(dW, db, np.zeros_like(l.b_rec)) for l, (dW, db) in zip(net.layers, enc)]
-        return NetworkGrads(layers, dz.T @ acts[-1], dz.sum(axis=0)), disc, 0.0
-    rec = _reconstruction_grads(net.layers, acts, fwd.recs[1:], fwd.recs[0] - acts[0])
-    layers = [
-        LayerGrads(dW + hybrid_weight * r.dW, db + hybrid_weight * r.db, hybrid_weight * r.db_rec)
-        for (dW, db), r in zip(enc, rec)
-    ]
-    return NetworkGrads(layers, dz.T @ acts[-1], dz.sum(axis=0)), disc, float(fwd.rec_losses.mean())
+    grads = _gradients(net, batch, hybrid_weight, fwd)
+    gen = float(fwd.rec_losses.mean()) if hybrid_weight != 0.0 else 0.0
+    return grads, mean_discriminative_loss(net, batch, fwd), gen
 
 
 def finetune(net: Network, batch: DataBatch, hybrid_weight: float = 0.2, fwd: Forward | None = None) -> Network:
-    """One SGD step on the mean hybrid objective over the batch."""
+    """One SGD step on the mean hybrid objective over the batch.
+
+    The step computes the gradients alone: neither loss's value is taken.
+    """
     if batch.inputs.shape[1] != net.n_input:
         raise ValueError("batch dimensionality does not match the network")
-    grads, _, _ = network_gradients(net, batch, hybrid_weight, fwd)
+    grads = _gradients(net, batch, hybrid_weight, fwd)
     lr = net.learning_rate
+    pairs = []
     for layer, g in zip(net.layers, grads.layers):
-        layer.W -= lr * g.dW
-        layer.b -= lr * g.db
-        layer.b_rec -= lr * g.db_rec
-    net.out_W -= lr * grads.out_W
-    net.out_b -= lr * grads.out_b
+        pairs += [(layer.W, g.dW), (layer.b, g.db), (layer.b_rec, g.db_rec)]
+    pairs += [(net.out_W, grads.out_W), (net.out_b, grads.out_b)]
+    for p, g in pairs:
+        # each gradient array is this step's own, so it is scaled in place
+        g *= lr
+        p -= g
     return net
 
 

@@ -198,6 +198,15 @@ class TestCandidateScores:
         sq = gp._sq_dists(X, X)
         assert sq.tobytes() == np.ascontiguousarray(sq.T).tobytes()
 
+    def test_decay_leaves_the_shared_distances_alone(self):
+        # the search reuses one distance matrix for every length scale
+        X = np.random.default_rng(2).random((30, 3))
+        sq = gp._sq_dists(X, X)
+        before = sq.copy()
+        for length_scale in LENGTH_GRID:
+            assert gp._decay(sq, length_scale).tobytes() == np.exp(-sq / (2.0 * length_scale**2)).tobytes()
+        assert sq.tobytes() == before.tobytes()
+
 
 class TestNonFinite:
     X = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, -1.0]])

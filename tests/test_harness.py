@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import adaptdae.harness as harness
 import adaptdae.midae as midae
 import adaptdae.network as network
+import adaptdae.structure as structure
 from adaptdae.config import (
     _KEYS,
     ConfigError,
@@ -42,6 +43,7 @@ from adaptdae.harness import (
 from adaptdae.network import init_network
 from adaptdae.stream import StreamSpec
 from conftest import make_batch, make_net, ranged_keys
+from test_network import _collect_grads, _collect_params, masked_sigmoid, plain_network_gradients
 
 
 def tiny_config(policy="sdae", seed=0, batches=12, **rl_overrides):
@@ -483,6 +485,60 @@ class TestOneFinetunePerBatch:
                 assert ("event", 0) in moves
             if cfg.policy == "radae":
                 assert {("pool", 0), ("increment", 1), ("merge", -1), ("merge", 0)} <= moves
+
+
+def masked_sigmoid_into(v, out=None):
+    result = masked_sigmoid(v)
+    if out is None:
+        return result
+    out[...] = result
+    return out
+
+
+def plain_finetune(net, batch, hybrid_weight=0.2, fwd=None):
+    # the reference runs its own forward, so ``fwd`` is ignored
+    grads, _, _ = plain_network_gradients(net, batch, hybrid_weight)
+    for p, g in zip(_collect_params(net), _collect_grads(grads)):
+        p[...] = p - net.learning_rate * g
+    return net
+
+
+def growing_midae():
+    cfg = with_pool(tiny_config(policy="midae", seed=3, batches=20))
+    cfg.midae.pool_threshold, cfg.midae.delta_init = 30, 3
+    return cfg
+
+
+def pretrained(cfg):
+    cfg.nn.pretrain_batches = 3
+    return cfg
+
+
+class TestWholeRunAgainstPlainKernels:
+    """A run whose sigmoid and fine-tuning step are the plain references
+    writes the same trace as one on the in-place kernels."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: one_of_each_policy()[0],
+            lambda: one_of_each_policy()[1],
+            lambda: one_of_each_policy()[2],
+            growing_midae,
+            lambda: pretrained(one_of_each_policy()[2]),
+        ],
+        ids=["sdae", "midae", "radae", "midae-growing", "radae-pretrained"],
+    )
+    def test_traces_are_equal(self, monkeypatch, make):
+        cfg = make()
+        kernels = run_experiment(cfg)
+        monkeypatch.setattr(network, "sigmoid", masked_sigmoid_into)
+        for module in (harness, structure):
+            monkeypatch.setattr(module, "finetune", plain_finetune)
+        plain = run_experiment(cfg)
+        assert comparable(kernels.records) == comparable(plain.records)
+        if cfg.policy != "sdae":
+            assert {r.action for r in kernels.records} - {"none"}, "no structural change to cover"
 
 
 def one_batch_bytes(cfg):
