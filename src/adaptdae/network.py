@@ -400,9 +400,12 @@ def _generative_backward(net: Network, acts: list[np.ndarray]) -> tuple[NetworkG
     return NetworkGrads(grads, np.zeros_like(net.out_W), np.zeros_like(net.out_b)), loss
 
 
-def network_loss(net: Network, batch: DataBatch, hybrid_weight: float) -> tuple[float, float, float]:
+def network_loss(
+    net: Network, batch: DataBatch, hybrid_weight: float, fwd: Forward | None = None
+) -> tuple[float, float, float]:
     """Mean hybrid objective over a batch: label loss + weight * reconstruction."""
-    fwd = forward(net, batch.inputs, decode=hybrid_weight != 0.0)
+    if fwd is None:
+        fwd = forward(net, batch.inputs, decode=hybrid_weight != 0.0)
     disc = mean_discriminative_loss(net, batch, fwd)
     gen = float(fwd.rec_losses.mean()) if hybrid_weight != 0.0 else 0.0
     return disc + hybrid_weight * gen, disc, gen
@@ -439,9 +442,8 @@ def network_gradients(
     """
     if fwd is None:
         fwd = forward(net, batch.inputs, decode=hybrid_weight != 0.0)
-    grads = _gradients(net, batch, hybrid_weight, fwd)
-    gen = float(fwd.rec_losses.mean()) if hybrid_weight != 0.0 else 0.0
-    return grads, mean_discriminative_loss(net, batch, fwd), gen
+    _, disc, gen = network_loss(net, batch, hybrid_weight, fwd)
+    return _gradients(net, batch, hybrid_weight, fwd), disc, gen
 
 
 def finetune(net: Network, batch: DataBatch, hybrid_weight: float = 0.2, fwd: Forward | None = None) -> Network:
