@@ -22,6 +22,7 @@ from .structure import ActionKind
 ACTIONS = (ActionKind.POOL, ActionKind.INCREMENT, ActionKind.MERGE)
 ROTATION = (ActionKind.INCREMENT, ActionKind.MERGE, ActionKind.POOL)
 SHORT_WINDOWS = (5, 15, 30)  # the error-smoothing windows of state spaces 1 and 2
+RETUNE_EVERY = 5  # a full window's kernel is re-tuned on every this-many-th refit
 
 
 @dataclass
@@ -218,6 +219,7 @@ class QModel:
         self.hyperparams = {a: (1.0, 1.0) for a in ACTIONS}
         self.noise_var = noise_var
         self._stale = {a: False for a in ACTIONS}
+        self._full_refits = {a: 0 for a in ACTIONS}
 
     def predict(self, action: ActionKind, state) -> float:
         if self.tabular:
@@ -238,18 +240,26 @@ class QModel:
         self._stale[action] = True
 
     def refit(self) -> None:
-        """Refit every curve whose observations changed, re-tuning the
-        kernel when there is enough data."""
+        """Refit every curve whose observations changed.
+
+        The kernel is re-tuned by ``gp.optimize_hyperparams`` on every refit
+        of an action with at least 2 observations while its window fills.
+        Once the window is full, only the 1st, 6th, 11th, ... full-window
+        refit of that action re-tunes (one in ``RETUNE_EVERY``); the others
+        fit with the action's kept hyperparameters.
+        """
         for action in ACTIONS:
             obs = self.observations[action]
             if not obs or not self._stale[action]:
                 continue
             X = np.vstack([o[0] for o in obs])
             y = np.asarray([o[1] for o in obs])
-            if len(obs) >= 2:
+            full = len(obs) == obs.maxlen
+            if len(obs) >= 2 and (not full or self._full_refits[action] % RETUNE_EVERY == 0):
                 self.hyperparams[action] = gp.optimize_hyperparams(
                     X, y, noise_var=self.noise_var, initial=self.hyperparams[action]
                 )
+            self._full_refits[action] += full
             sigma_f, length_scale = self.hyperparams[action]
             self.curves[action] = gp.fit(X, y, sigma_f, length_scale, self.noise_var)
             self._stale[action] = False

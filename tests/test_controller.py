@@ -264,6 +264,71 @@ class TestSelectAction:
             assert chosen is ActionKind.MERGE
 
 
+class TestRetuneSchedule:
+    """A window is re-tuned on every refit while it fills, then on full-window
+    refits 1, 1 + RETUNE_EVERY, 1 + 2 * RETUNE_EVERY, ... of its action."""
+
+    @pytest.fixture
+    def gp_calls(self, monkeypatch):
+        calls = {"search": [], "fit": []}
+
+        def search(X, y, noise_var, initial):
+            calls["search"].append(len(X))
+            return (initial[0] + 1.0, 0.5)  # a new setting on every search
+
+        def fit(X, y, sigma_f, length_scale, noise_var):
+            calls["fit"].append((len(X), sigma_f, length_scale))
+            return object()
+
+        monkeypatch.setattr(controller.gp, "optimize_hyperparams", search)
+        monkeypatch.setattr(controller.gp, "fit", fit)
+        return calls
+
+    @staticmethod
+    def searched_refits(q, action, refits, calls):
+        """1-based indices of the refits of ``action`` that searched."""
+        searched = []
+        for i in range(1, refits + 1):
+            before = len(calls["search"])
+            q.record(action, state_at(0.1 * i), float(i))
+            q.refit()
+            if len(calls["search"]) > before:
+                searched.append(i)
+        return searched
+
+    def test_searched_while_filling_then_every_fifth_full_refit(self, gp_calls):
+        assert controller.RETUNE_EVERY == 5
+        q = QModel(max_observations=4)
+        # refit 1 has one observation, 2-3 fill the window, 4 is full-window refit 1
+        assert self.searched_refits(q, ActionKind.POOL, 15, gp_calls) == [2, 3, 4, 9, 14]
+        assert gp_calls["search"] == [2, 3, 4, 4, 4]
+        assert [n for n, _, _ in gp_calls["fit"]] == [1, 2, 3] + [4] * 12
+
+    def test_skipped_refit_fits_with_kept_hyperparams(self, gp_calls):
+        q = QModel(max_observations=4)
+        self.searched_refits(q, ActionKind.MERGE, 4, gp_calls)
+        kept = q.hyperparams[ActionKind.MERGE]
+        assert kept == (4.0, 0.5)
+        for i in range(4):
+            q.record(ActionKind.MERGE, state_at(0.05 * i), 0.0)
+            q.refit()
+            assert q.hyperparams[ActionKind.MERGE] == kept
+            assert gp_calls["fit"][-1] == (4, *kept)
+        assert len(gp_calls["search"]) == 3
+
+    def test_counts_are_per_action(self, gp_calls):
+        q = QModel(max_observations=4)
+        assert self.searched_refits(q, ActionKind.POOL, 6, gp_calls) == [2, 3, 4]
+        # POOL has had 3 full-window refits; INCREMENT's count starts at 0
+        assert self.searched_refits(q, ActionKind.INCREMENT, 6, gp_calls) == [2, 3, 4]
+        assert self.searched_refits(q, ActionKind.POOL, 4, gp_calls) == [3]
+
+    def test_one_observation_is_never_searched(self, gp_calls):
+        q = QModel(max_observations=1)
+        assert self.searched_refits(q, ActionKind.POOL, 7, gp_calls) == []
+        assert gp_calls["fit"] == [(1, 1.0, 1.0)] * 7
+
+
 def ema_fold(values, alpha):
     """The whole-history left fold the running averages must reproduce."""
     acc = values[0]
