@@ -41,12 +41,12 @@ class PoolConfig:
 
 @dataclass
 class ExperimentConfig:
-    policy: str = "radae"
+    policy: str = field(default="radae", metadata=within("{" + ", ".join(POLICIES) + "}"))
     seed: int = field(default=0, metadata=within("[0, inf)"))
     out: str = "trace.csv"
     summary_last: int = field(default=250, metadata=within("[1, inf)"))
     test_fraction: float = field(default=0.2, metadata=within("(0, 1)"))
-    kind: str = "synth"  # synth | idx
+    kind: str = field(default="synth", metadata=within("{synth, idx}"))
     per_class: int = 200
     spread: float = field(default=0.1, metadata=within("[0, inf)"))
     images: str = ""
@@ -164,10 +164,6 @@ def validate_experiment(cfg: ExperimentConfig) -> list[str]:
     """Every value outside its key's range and every broken cross-field rule;
     empty when valid."""
     problems = out_of_range(cfg, _top_key)
-    if cfg.policy not in POLICIES:
-        problems.append(f"policy must be one of {'/'.join(POLICIES)}, got {cfg.policy!r}")
-    if cfg.kind not in ("synth", "idx"):
-        problems.append(f"stream.kind must be synth or idx, got {cfg.kind!r}")
     if cfg.kind == "idx" and not (cfg.images and cfg.labels):
         problems.append("stream.kind=idx requires stream.images and stream.labels")
     # a cross-field rule is checked only when the fields it reads lie in range

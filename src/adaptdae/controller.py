@@ -43,7 +43,7 @@ class ControllerConfig:
     # merges below size_low nor increments past size_high
     size_low: float = field(default=0.5, metadata=within("[0, inf)"))
     size_high: float = field(default=2.0, metadata=within("(-inf, inf)"))
-    state_space: int = 3  # 1..4, see compute_state
+    state_space: int = field(default=3, metadata=within("{1, 2, 3, 4}"))  # see compute_state
     refit_interval: int = field(default=10, metadata=within("[1, inf)"))
     max_observations: int = field(default=500, metadata=within("[1, inf)"))
     gp_noise: float = field(default=1e-2, metadata=within("[0, inf)"))
@@ -59,8 +59,6 @@ class ControllerConfig:
             problems.append("rl.warmup_batches must be below rl.greedy_after")
         if inside(self, "size_low", "size_high") and self.size_low >= self.size_high:
             problems.append("rl.size_low must be below rl.size_high")
-        if inside(self, "state_space") and self.state_space not in (1, 2, 3, 4):
-            problems.append(f"rl.state_space must be 1, 2, 3 or 4, got {self.state_space}")
         if problems:
             raise ValueError(*problems)
 

@@ -161,7 +161,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
     """Run one policy over one stream and emit the trace.
 
     ``out_path`` overrides ``cfg.out``; pass an empty string to skip the
-    trace file.
+    trace file.  A run that raises writes the rows it finished, then re-raises.
     """
     problems = validate_experiment(cfg)
     if problems:
@@ -186,20 +186,22 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
                     ahead.append(pool.submit(next, batches))
                 yield batch
 
-        records = _run_batches(cfg, spec, in_order(), test_x, test_y)
-
-    summary = summarize(records, cfg.summary_last)
-    path = cfg.out if out_path is None else out_path
-    if path:
-        write_trace(path, records)
-    return RunResult(records=records, summary=summary, trace_path=path or None)
+        records: list[TraceRecord] = []
+        path = cfg.out if out_path is None else out_path
+        try:
+            for record in _run_batches(cfg, spec, in_order(), test_x, test_y):
+                records.append(record)
+        finally:
+            if path:
+                write_trace(path, records)
+    return RunResult(records=records, summary=summarize(records, cfg.summary_last), trace_path=path or None)
 
 
 def _run_batches(
     cfg: ExperimentConfig, spec: StreamSpec, batches: Iterator[DataBatch], test_x: np.ndarray, test_y: np.ndarray
-) -> list[TraceRecord]:
+) -> Iterator[TraceRecord]:
     """Build the network and the policy, then pass over the batches once,
-    taking each batch one ahead of its training."""
+    taking each batch one ahead of its training; yield each batch's row."""
     init_rng = np.random.default_rng([cfg.seed, 1])
     train_rng = np.random.default_rng([cfg.seed, 2])
     ctrl_rng = np.random.default_rng([cfg.seed, 3])
@@ -229,10 +231,8 @@ def _run_batches(
             cfg.midae, cfg.pool.capacity if cfg.midae.pool_threshold is None else cfg.midae.pool_threshold
         )
 
-    records: list[TraceRecord] = []
     # the newest label histogram and the ema_window ones before it
     histograms: deque[np.ndarray] = deque(maxlen=cfg.rl.ema_window + 1)
-    trained_ids: set[int] = set()
     batch = next(batches)
     fwd, next_eval = _evaluate_upcoming(net, batch, 0)
 
@@ -241,7 +241,6 @@ def _run_batches(
         # measured before anything trained on this batch; fwd is its forward
         # under the current parameters until a structural edit makes it stale
         l_gen, l_cls = next_eval
-        assert batch.seq_id not in trained_ids, "evaluation must precede training"
         histograms.append(batch.class_histogram())
         kl = window_kl(histograms)
 
@@ -261,13 +260,9 @@ def _run_batches(
             reward = decision.reward
             q_values = decision.q_values
             if decision.kind is ActionKind.POOL:
-                diverse = list(pools.diverse)
-                trained_ids.update(b.seq_id for b in diverse)
-                pool_finetune(net, diverse, cfg.nn.hybrid_weight)
+                pool_finetune(net, list(pools.diverse), cfg.nn.hybrid_weight)
             elif delta > 0:
-                recent = list(pools.recent)
-                trained_ids.update(b.seq_id for b in recent)
-                increment_nodes(net, delta, recent, train_rng)
+                increment_nodes(net, delta, list(pools.recent), train_rng)
             elif delta < 0:
                 merge_nodes(net, -delta)
             # an increment or merge sized to 0 is a no-op
@@ -278,12 +273,13 @@ def _run_batches(
                 # an event edits the parameters even when the width stays the same
                 action, delta, edited = "event", event.added - event.merged, True
         finetune(net, batch, cfg.nn.hybrid_weight, None if edited else fwd)
-        trained_ids.add(batch.seq_id)
 
         fwd = None  # stale now that the batch trained; free it before the next
         if n + 1 < spec.batches:
             following = next(batches)
-            assert following.seq_id not in trained_ids, "evaluation must precede training"
+            # every batch trained on so far was drawn before this one, and the
+            # stream draws in increasing seq_id order
+            assert following.seq_id > batch.seq_id, "evaluation must precede training"
             fwd, next_eval = _evaluate_upcoming(net, following, n + 1)
             e_lcl = next_eval[1]
         else:
@@ -293,26 +289,23 @@ def _run_batches(
             raise NumericalBreakdown(f"batch {n}: held-out read-out is not finite")
         wall_ms = (time.perf_counter() - t0) * 1000.0
 
-        records.append(
-            TraceRecord(
-                batch=n,
-                action=action,
-                delta=delta,
-                widths=net.widths(),
-                l_gen=l_gen,
-                l_cls=l_cls,
-                e_lcl=e_lcl,
-                e_glb=e_glb,
-                reward=reward,
-                q_pool=None if q_values is None else q_values[ActionKind.POOL],
-                q_increment=None if q_values is None else q_values[ActionKind.INCREMENT],
-                q_merge=None if q_values is None else q_values[ActionKind.MERGE],
-                kl=kl,
-                wall_ms=wall_ms,
-            )
+        yield TraceRecord(
+            batch=n,
+            action=action,
+            delta=delta,
+            widths=net.widths(),
+            l_gen=l_gen,
+            l_cls=l_cls,
+            e_lcl=e_lcl,
+            e_glb=e_glb,
+            reward=reward,
+            q_pool=None if q_values is None else q_values[ActionKind.POOL],
+            q_increment=None if q_values is None else q_values[ActionKind.INCREMENT],
+            q_merge=None if q_values is None else q_values[ActionKind.MERGE],
+            kl=kl,
+            wall_ms=wall_ms,
         )
         batch = following
-    return records
 
 
 def summarize(records: list[TraceRecord], last: int) -> Summary:

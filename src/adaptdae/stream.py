@@ -29,7 +29,7 @@ class StreamSpec:
     dims: int = field(metadata=within("[1, inf)"))
     batch_size: int = field(default=1000, metadata=within("[1, inf)"))
     batches: int = field(default=1, metadata=within("[1, inf)"))
-    mode: str = "nonstationary"  # stationary | nonstationary | switch
+    mode: str = field(default="nonstationary", metadata=within("{stationary, nonstationary, switch}"))
     gp_length_scale: float | None = field(default=None, metadata=within("(0, inf)"))  # defaults to batches / 10
     mask_noise: float = field(default=0.1, metadata=within("[0, 1]"))
     switch_at: int | None = field(default=None, metadata=within("[0, inf)"))  # switch mode: batch index of the flip
@@ -38,8 +38,6 @@ class StreamSpec:
 
     def validate(self) -> None:
         problems = out_of_range(self, "stream.{}".format)
-        if self.mode not in ("stationary", "nonstationary", "switch"):
-            problems.append(f"stream.mode must be stationary, nonstationary or switch, got {self.mode!r}")
         if problems:
             raise ValueError(*problems)
 

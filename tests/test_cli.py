@@ -141,6 +141,21 @@ class TestRuntimeFailures:
         assert main(["run", "--config", config_path, "--out", ""]) == 1
         assert capsys.readouterr().err.startswith("runtime failure: NumericalBreakdown: batch 1: ")
 
+    def test_a_failed_run_leaves_the_rows_it_finished(self, config_path, tmp_path, monkeypatch, capsys):
+        real_finetune = harness.finetune
+
+        def poisoning(net, batch, *args, **kwargs):
+            real_finetune(net, batch, *args, **kwargs)
+            if batch.seq_id == 5:
+                net.layers[0].W[:] = np.nan
+            return net
+
+        monkeypatch.setattr(harness, "finetune", poisoning)
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("runtime failure: NumericalBreakdown: batch 6: ")
+        assert [r.batch for r in read_trace(str(out))] == [0, 1, 2, 3, 4]
+
 
 class TestValidate:
     def test_good_config(self, config_path, capsys):
@@ -153,6 +168,25 @@ class TestValidate:
         assert main(["validate", "--config", str(bad)]) == 2
         assert "pool.capacity" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("policy = nonsense", "policy must be in {sdae, midae, radae}, got nonsense"),
+            ("stream.kind = csv", "stream.kind must be in {synth, idx}, got csv"),
+            ("stream.mode = drift", "stream.mode must be in {stationary, nonstationary, switch}, got drift"),
+            ("rl.state_space = 5", "rl.state_space must be in {1, 2, 3, 4}, got 5"),
+        ],
+    )
+    def test_a_value_outside_its_set_exits_2_and_nothing_runs(self, config_path, tmp_path, capsys, line, message):
+        with open(config_path, "a") as f:
+            f.write(line + "\n")
+        assert main(["validate", "--config", config_path]) == 2
+        assert capsys.readouterr().err == f"{config_path}: {message}\n"
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"{config_path}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "lines", ["rl.refit_interval = 0", "rl.ema_window = -5\nrl.ema_alpha = 0.5", "rl.max_observations = 0"]

@@ -42,7 +42,7 @@ from adaptdae.harness import (
 )
 from adaptdae.network import init_network
 from adaptdae.stream import StreamSpec
-from conftest import make_batch, make_net, ranged_keys
+from conftest import configs, make_batch, make_net, ranged_keys
 from test_network import _collect_grads, _collect_params, masked_sigmoid, plain_network_gradients
 
 
@@ -123,45 +123,6 @@ class TestConfigParsing:
 
     def test_validate_accepts_defaults(self):
         assert validate_experiment(ExperimentConfig()) == []
-
-
-def interval_values(kind, interval):
-    """Values of an ``int`` or ``float`` annotation inside ``interval``,
-    finite when the field states none."""
-    text = interval or "(-inf, inf)"
-    low, high = (float(end) for end in text[1:-1].split(","))
-    if kind == "float":
-        return st.floats(
-            low, high, exclude_min=text[0] == "(", exclude_max=text[-1] == ")", allow_nan=False, allow_infinity=False
-        )
-    low = -(2**63) if math.isinf(low) else math.floor(low) + 1 if text[0] == "(" else math.ceil(low)
-    high = 2**63 if math.isinf(high) else math.ceil(high) - 1 if text[-1] == ")" else math.floor(high)
-    return st.integers(low, high)
-
-
-# a string that one config line carries unchanged
-CONFIG_STRINGS = st.text().filter(lambda t: "#" not in t and t == t.strip() and len(t.splitlines()) <= 1)
-
-
-def key_values(annotation, interval):
-    if annotation == "str":
-        return CONFIG_STRINGS
-    if annotation == "tuple[int, ...]":
-        return st.lists(interval_values("int", interval), min_size=1, max_size=4).map(tuple)
-    values = interval_values(annotation.removesuffix(" | None"), interval)
-    return st.none() | values if annotation.endswith("| None") else values
-
-
-@st.composite
-def configs(draw):
-    """An ``ExperimentConfig`` with every settable key drawn from its field's
-    annotation and interval."""
-    cfg = ExperimentConfig()
-    for key, (section, attr, _) in _KEYS.items():
-        owner = cfg if section is None else getattr(cfg, section)
-        f = {f.name: f for f in fields(owner)}[attr]
-        setattr(owner, attr, draw(key_values(f.type, f.metadata.get("interval")), label=key))
-    return cfg
 
 
 class TestFormatConfig:
@@ -739,6 +700,24 @@ class TestNumericalBreakdown:
         with pytest.raises(NumericalBreakdown, match=message):
             run_experiment(with_pool(tiny_config(policy="sdae")))
 
+    def test_a_failed_run_writes_the_rows_it_finished(self, monkeypatch, tmp_path):
+        cfg = with_pool(tiny_config(policy="sdae"))
+        clean = run_experiment(cfg).records
+        real_finetune = harness.finetune
+
+        def poisoning(net, batch, *args, **kwargs):
+            real_finetune(net, batch, *args, **kwargs)
+            if batch.seq_id == 5:
+                net.layers[0].W[:] = np.nan
+            return net
+
+        monkeypatch.setattr(harness, "finetune", poisoning)
+        path = str(tmp_path / "trace.csv")
+        with pytest.raises(NumericalBreakdown, match=r"^batch 6: "):
+            run_experiment(cfg, out_path=path)
+        # batch 6's evaluation stops the run before batch 5's row is done
+        assert [replace(r, wall_ms=0.0) for r in read_trace(path)] == [replace(r, wall_ms=0.0) for r in clean[:5]]
+
 
 def check_eval_precedes_training(events):
     """True when every batch is evaluated before anything trains on it."""
@@ -771,6 +750,21 @@ class TestEvaluationOrdering:
         # every batch is evaluated (as the upcoming batch) before training
         assert check_eval_precedes_training(events)
         assert any(k == "eval" for k, _ in events)
+
+    @pytest.mark.parametrize("policy", ["sdae", "midae", "radae"])
+    @pytest.mark.parametrize(
+        "order", [[0, 1, 2, 3, 4, 4, *range(5, 11)], [0, 1, 2, 3, 4, 2, *range(5, 11)]], ids=["repeat", "replay"]
+    )
+    def test_a_stream_that_hands_a_trained_batch_again_stops_the_run(self, monkeypatch, policy, order):
+        real_iter_stream = harness.iter_stream
+
+        def reordered(*args, **kwargs):
+            drawn = list(real_iter_stream(*args, **kwargs))
+            return iter([drawn[i] for i in order])
+
+        monkeypatch.setattr(harness, "iter_stream", reordered)
+        with pytest.raises(AssertionError, match="evaluation must precede training"):
+            run_experiment(with_pool(tiny_config(policy=policy, batches=len(order))))
 
     def test_checker_detects_violations(self):
         # the detector itself must flag a train-then-evaluate sequence

@@ -1,6 +1,7 @@
 """A config value is reported out of range exactly when it lies outside the
-interval its key's field states; inside, it fails at most a cross-field
-rule that names the key.  Every bad key is reported, not only the first."""
+range its key's field states, an interval or a set; inside, it fails at most
+a cross-field rule that names the key.  Every bad key is reported, not only
+the first."""
 
 import math
 from dataclasses import fields, is_dataclass
@@ -18,14 +19,13 @@ from adaptdae.config import (
     parse_config,
     validate_experiment,
 )
-from conftest import ranged_keys
+from conftest import is_set, members, ranged_keys
 
 RANGED = ranged_keys()
-# numeric keys that state no interval, so they need only be finite: a cross-field rule or a list of names bounds each
+# numeric keys that state no range, so they need only be finite: a cross-field rule bounds each
 UNRANGED = (
     "rl.warmup_batches",
     "rl.greedy_after",
-    "rl.state_space",
     "midae.improve_eps",
     "stream.per_class",
     "pool.capacity",
@@ -38,42 +38,53 @@ def bounds(interval):
     return interval[0] == "[", low, high, interval[-1] == "]"
 
 
-def lies_inside(value, interval, optional):
+def lies_inside(value, valid, parser):
     if value is None:
-        return optional
-    closed_low, low, high, closed_high = bounds(interval)
+        return parser in (_parse_optional_int, _parse_optional_float)
+    if is_set(valid):
+        return value in members(valid, parser)
+    closed_low, low, high, closed_high = bounds(valid)
     above = low < value or (closed_low and value == low)
     below = value < high or (closed_high and value == high)
     return above and below
 
 
-def probes(interval, integral):
-    """Each endpoint, the floats just inside and just outside it or the
-    integers on either side, and NaN, -inf, inf and None."""
-    _, low, high, _ = bounds(interval)
-    values = {math.nan, -math.inf, math.inf, None}
+def probes(valid, parser):
+    """For a set, each member, an unknown name and the empty string or the
+    integers on either side and a number between the members, NaN and None.
+    For an interval, each endpoint, the floats just inside and just outside
+    it or the integers on either side, and NaN, -inf, inf and None."""
+    if is_set(valid):
+        known = members(valid, parser)
+        strays = {"", "unknown"} if parser is str else {min(known) - 1, max(known) + 1, (min(known) + max(known)) / 2}
+        return {*known, *strays, math.nan, None}
+    integral = parser in INTEGRAL
+    _, low, high, _ = bounds(valid)
+    found = {math.nan, -math.inf, math.inf, None}
     for end in (low, high):
         if not math.isfinite(end):
             if not integral:
-                values.add(math.nextafter(end, 0.0))
+                found.add(math.nextafter(end, 0.0))
         elif integral:
-            values |= {end - 1, end, end + 1}
+            found |= {end - 1, end, end + 1}
         else:
-            values |= {end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf)}
-    return values
+            found |= {end, math.nextafter(end, -math.inf), math.nextafter(end, math.inf)}
+    return found
 
 
 def text(value, integral):
     if value is None:
         return "none"
-    return str(int(value)) if integral and math.isfinite(value) else repr(value)
+    if isinstance(value, str):
+        return value
+    return str(int(value)) if integral and math.isfinite(value) and float(value).is_integer() else repr(value)
 
 
 INTEGRAL = (int, _parse_optional_int, _parse_widths)
 CASES = [
-    (key, interval, parser, value)
-    for key, (interval, parser) in RANGED.items()
-    for value in sorted(probes(interval, parser in INTEGRAL), key=str)
+    (key, valid, parser, value)
+    for key, (valid, parser) in RANGED.items()
+    for value in sorted(probes(valid, parser), key=str)
 ]
 
 
@@ -81,16 +92,16 @@ def test_the_base_config_is_valid():
     assert validate_experiment(parse_config(BASE)) == []
 
 
-@pytest.mark.parametrize("key, interval, parser, value", CASES, ids=[f"{c[0]}={c[3]}" for c in CASES])
-def test_a_value_is_accepted_exactly_when_it_lies_inside(key, interval, parser, value):
-    inside = lies_inside(value, interval, optional=parser in (_parse_optional_int, _parse_optional_float))
+@pytest.mark.parametrize("key, valid, parser, value", CASES, ids=[f"{c[0]}={c[3]}" for c in CASES])
+def test_a_value_is_accepted_exactly_when_it_lies_inside(key, valid, parser, value):
+    inside = lies_inside(value, valid, parser)
     try:
         problems = validate_experiment(parse_config(f"{BASE}{key} = {text(value, parser in INTEGRAL)}\n"))
     except ConfigError:
-        # the parser refuses it first, and no interval holds it
+        # the parser refuses it first, and no range holds it
         assert not inside
         return
-    reported = [p for p in problems if p.startswith(f"{key} must be in {interval}, got ")]
+    reported = [p for p in problems if p.startswith(f"{key} must be in {valid}, got ")]
     assert len(reported) == (not inside), problems
     # the base config is valid, so every problem is about the key: its range
     # or a cross-field rule it takes part in, such as rl.size_low < rl.size_high
@@ -101,7 +112,7 @@ def test_every_numeric_key_states_an_interval_or_is_named_unranged():
     # a new numeric key has to take one side
     numeric = {key for key, (_, _, parser) in _KEYS.items() if parser is not str}
     assert set(UNRANGED) <= numeric
-    assert numeric - set(UNRANGED) == set(RANGED)
+    assert numeric - set(UNRANGED) == set(RANGED) & numeric
 
 
 @pytest.mark.parametrize(
@@ -148,3 +159,12 @@ def test_a_missing_or_non_finite_number_is_reported_not_raised(key, section, f, 
     assert isinstance(problems, list)
     if not (value is None and f.type.endswith("| None")):
         assert any(p.startswith(f"{key} must be in ") for p in problems), problems
+
+
+@pytest.mark.parametrize("value", [1, 3, 3.0, 4, 0, 5, 2.5, math.nan, None])
+def test_a_set_compares_a_number_as_a_number(value):
+    # a config built in code can hold a float where a config file holds an int
+    cfg = ExperimentConfig()
+    cfg.rl.state_space = value
+    expected = [] if value in (1, 2, 3, 4) else [f"rl.state_space must be in {{1, 2, 3, 4}}, got {value}"]
+    assert validate_experiment(cfg) == expected
