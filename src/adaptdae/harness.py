@@ -142,10 +142,11 @@ def prepare_data(cfg: ExperimentConfig):
 
 
 # The stream is drawn as many batches ahead as fit in this many bytes, and
-# at least one: two of 1000 x 784.  On that stream, on 2 vCPUs, bounds of 8
+# at least one: one of 1000 x 784.  On that stream, on 2 vCPUs, bounds of 8
 # to 128 MiB ran the loop equally fast; each step up added set-up time,
-# resident memory and page faults on the drawing thread (BENCH_13.json).
-PREFETCH_BYTES = 16 << 20
+# resident memory and page faults on the drawing thread (BENCH_13.json), and
+# 8 MiB holds one such batch fewer than 16 MiB did (BENCH_24.json).
+PREFETCH_BYTES = 8 << 20
 
 # glibc gives the free top of its heap back to the system once it exceeds
 # twice the mmap threshold, and raises that threshold to the size of any
@@ -276,14 +277,17 @@ def _run_batches(
 
         fwd = None  # stale now that the batch trained; free it before the next
         if n + 1 < spec.batches:
-            following = next(batches)
+            # the trained batch is let go before the next evaluation: only
+            # its seq_id is kept, and the pools keep what they hold
+            trained_id = batch.seq_id
+            batch = next(batches)
             # every batch trained on so far was drawn before this one, and the
             # stream draws in increasing seq_id order
-            assert following.seq_id > batch.seq_id, "evaluation must precede training"
-            fwd, next_eval = _evaluate_upcoming(net, following, n + 1)
+            assert batch.seq_id > trained_id, "evaluation must precede training"
+            fwd, next_eval = _evaluate_upcoming(net, batch, n + 1)
             e_lcl = next_eval[1]
         else:
-            following, e_lcl = None, None
+            e_lcl = None
         e_glb = eval_global(net, test_x, test_y)
         if math.isnan(e_glb):  # the last batch has no upcoming evaluation to catch it
             raise NumericalBreakdown(f"batch {n}: held-out read-out is not finite")
@@ -305,7 +309,6 @@ def _run_batches(
             kl=kl,
             wall_ms=wall_ms,
         )
-        batch = following
 
 
 def summarize(records: list[TraceRecord], last: int) -> Summary:

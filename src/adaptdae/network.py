@@ -9,12 +9,17 @@ terms stay finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 PROB_EPS = 1e-7
+# cross_entropy takes its temporaries this many elements at a time: 83 rows
+# of 784, a quarter of a 1000 x 784 array.  Of 2^14 to 2^18, at 1000 x 784,
+# 2^14 ran slowest and 2^16 up no slower than one whole pass (BENCH_24.json).
+CE_BLOCK_ELEMENTS = 1 << 16
 
 
 def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -63,13 +68,10 @@ def _clamp_prob(q: np.ndarray) -> np.ndarray:
     return np.clip(q, PROB_EPS, 1.0 - PROB_EPS)
 
 
-def cross_entropy(target: np.ndarray, predicted: np.ndarray) -> np.ndarray:
-    """Summed binary cross-entropy over the last axis, always >= 0."""
-    t = np.asarray(target, dtype=np.float64)
-    q = np.asarray(predicted, dtype=np.float64)
+def _cross_entropy_rows(t: np.ndarray, q: np.ndarray) -> np.ndarray:
     # t * log(q) + (1 - t) * log1p(-q), step by step in place on two
     # buffers: the clipped copy of q, taken at the broadcast shape, and rest
-    q = _clamp_prob(np.broadcast_to(q, np.broadcast_shapes(t.shape, q.shape)))
+    q = _clamp_prob(np.broadcast_to(q, np.broadcast(t, q).shape))
     rest = np.negative(q)
     np.log1p(rest, out=rest)
     rest *= 1.0 - t
@@ -77,6 +79,29 @@ def cross_entropy(target: np.ndarray, predicted: np.ndarray) -> np.ndarray:
     q *= t
     q += rest
     return -np.sum(q, axis=-1)
+
+
+def cross_entropy(target: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """Summed binary cross-entropy over the last axis, always >= 0.
+
+    Its temporaries are taken one block of rows along the first axis at a
+    time, about ``CE_BLOCK_ELEMENTS`` elements each, and every row is summed
+    on its own, so the result has the bits of one whole-array pass.
+    """
+    t = np.asarray(target, dtype=np.float64)
+    q = np.asarray(predicted, dtype=np.float64)
+    shape = np.broadcast(t, q).shape
+    rows = shape[0] if len(shape) > 1 else 1
+    step = max(1, CE_BLOCK_ELEMENTS // max(1, math.prod(shape[1:])))
+    if rows <= step:
+        return _cross_entropy_rows(t, q)
+    out = np.empty(shape[:-1])
+    # an operand with fewer dimensions, or one row, broadcasts over every block
+    t_rows, q_rows = (a.ndim == len(shape) and a.shape[0] > 1 for a in (t, q))
+    for lo in range(0, rows, step):
+        block = slice(lo, lo + step)
+        out[block] = _cross_entropy_rows(t[block] if t_rows else t, q[block] if q_rows else q)
+    return out
 
 
 @dataclass

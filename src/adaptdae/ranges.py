@@ -56,7 +56,13 @@ def inside(config, *names: str) -> bool:
     return not _outside(config).keys() & set(names)
 
 
+def _shown(value) -> str:
+    # a string is quoted, so an empty one or one with spaces reads as itself
+    return repr(value) if isinstance(value, str) else str(value)
+
+
 def out_of_range(config, key: Callable[[str], str]) -> list[str]:
     """``<key> must be in <range>, got <value>`` for every field of ``config``
-    outside its range; ``key`` names a field as a config file writes it."""
-    return [f"{key(n)} must be in {valid}, got {getattr(config, n)}" for n, valid in _outside(config).items()]
+    outside its range, a string value quoted; ``key`` names a field as a
+    config file writes it."""
+    return [f"{key(n)} must be in {valid}, got {_shown(getattr(config, n))}" for n, valid in _outside(config).items()]

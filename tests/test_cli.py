@@ -172,10 +172,12 @@ class TestValidate:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("policy = nonsense", "policy must be in {sdae, midae, radae}, got nonsense"),
-            ("stream.kind = csv", "stream.kind must be in {synth, idx}, got csv"),
-            ("stream.mode = drift", "stream.mode must be in {stationary, nonstationary, switch}, got drift"),
+            ("policy = nonsense", "policy must be in {sdae, midae, radae}, got 'nonsense'"),
+            ("stream.kind = csv", "stream.kind must be in {synth, idx}, got 'csv'"),
+            ("stream.mode = drift", "stream.mode must be in {stationary, nonstationary, switch}, got 'drift'"),
             ("rl.state_space = 5", "rl.state_space must be in {1, 2, 3, 4}, got 5"),
+            # an empty value is quoted, so the message does not end at "got"
+            ("stream.kind =", "stream.kind must be in {synth, idx}, got ''"),
         ],
     )
     def test_a_value_outside_its_set_exits_2_and_nothing_runs(self, config_path, tmp_path, capsys, line, message):

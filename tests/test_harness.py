@@ -43,7 +43,7 @@ from adaptdae.harness import (
 from adaptdae.network import init_network
 from adaptdae.stream import StreamSpec
 from conftest import configs, make_batch, make_net, ranged_keys
-from test_network import _collect_grads, _collect_params, masked_sigmoid, plain_network_gradients
+from test_network import _collect_grads, _collect_params, masked_sigmoid, peak_in_batch_arrays, plain_network_gradients
 
 
 def tiny_config(policy="sdae", seed=0, batches=12, **rl_overrides):
@@ -656,6 +656,26 @@ class TestPrefetch:
         # the batches before the error were delivered, in order
         assert trained == [0, 1, 2, 3]
         assert threading.active_count() == before
+
+
+def test_a_784_dim_run_holds_few_batch_arrays():
+    """A run of 1000 x 784 batches holds at its peak the batch it evaluates
+    with its forward, one drawn ahead, the one being drawn and the stream's
+    scratch buffers: 6.75 arrays of 1000 x 784 float64 in each of 10
+    processes.  With the whole-batch cross-entropy temporaries, the trained
+    batch kept through the next evaluation and two batches drawn ahead it
+    read 9.64-10.65.  The drawing thread's allocations count too, so the
+    bound leaves one array for its timing."""
+    cfg = ExperimentConfig(
+        policy="sdae",
+        seed=1000,
+        out="",
+        summary_last=6,
+        stream=StreamSpec(classes=3, dims=784, batch_size=1000, batches=6, mode="nonstationary"),
+        per_class=50,
+    )
+    cfg.nn.widths = (32, 32, 32)
+    assert peak_in_batch_arrays(lambda: run_experiment(cfg), 1000 * 784 * 8) <= 7.8
 
 
 class TestNumericalBreakdown:
