@@ -8,7 +8,9 @@ pre-trained, unsupervised, on their inputs before batch 0, so they are
 evaluated after that.  The global error is measured on a class-balanced
 held-out split after every batch.  Runs with the same seed share the
 stream and the initial network across policies.  One worker thread draws
-the batches, up to ``PREFETCH_BYTES`` ahead, while the loop trains.
+the batches, up to ``PREFETCH_BYTES`` ahead, while the loop trains; on
+batches of more than ``CE_BLOCK_ELEMENTS`` elements a second one sums the
+upcoming batch's reconstruction loss.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import time
 from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -27,7 +29,18 @@ import numpy as np
 from .config import ExperimentConfig, validate_experiment
 from .controller import RlController, window_kl
 from .midae import MiDaeState, merge_inc_step
-from .network import DataBatch, Forward, Network, batch_errors, finetune, forward, init_network, predict, pretrain_layer
+from .network import (
+    CE_BLOCK_ELEMENTS,
+    DataBatch,
+    Forward,
+    Network,
+    batch_errors,
+    finetune,
+    forward,
+    init_network,
+    predict,
+    pretrain_layer,
+)
 from .pools import PoolSet, update_diverse, update_recent
 from .stream import LabeledSource, StreamSpec, iter_stream, load_idx, split_source, synth_dataset
 from .structure import ActionKind, increment_nodes, merge_nodes, pool_finetune
@@ -88,20 +101,53 @@ class RunResult:
     trace_path: str | None
 
 
-def _evaluate_upcoming(net: Network, batch: DataBatch, index: int) -> tuple[Forward, tuple[float, float]]:
-    """Forward batch ``index`` before anything trains on it and measure its
-    losses; the forward serves its training while the parameters stay."""
-    fwd = forward(net, batch.inputs)
-    l_gen, l_cls = batch_errors(net, batch, fwd)
+def _check_evaluation(index: int, l_gen: float, l_cls: float, read_out_finite: bool) -> None:
     # a NaN confined to the read-out leaves both losses finite: argmax of a
     # NaN row still names a class
-    read_out_finite = bool(np.isfinite(fwd.y_hat).all())
     if not (math.isfinite(l_gen) and math.isfinite(l_cls) and read_out_finite):
         raise NumericalBreakdown(
             f"batch {index}: pre-training evaluation is not finite "
             f"(l_gen={l_gen!r}, l_cls={l_cls!r}, read-out finite={read_out_finite})"
         )
+
+
+def _mean_rec_loss(fwd: Forward) -> float:
+    # runs on the loss helper, so it calls nothing the benchmark spans: its
+    # tracer keeps one span stack for all threads
+    return float(fwd.rec_losses.mean())
+
+
+def _evaluate_upcoming(
+    net: Network, batch: DataBatch, index: int, helper: ThreadPoolExecutor
+) -> tuple[Forward, tuple[float | Future, float]]:
+    """Forward batch ``index`` before anything trains on it and measure its
+    losses; the forward serves its training while the parameters stay.
+
+    A batch of more than ``CE_BLOCK_ELEMENTS`` elements hands the sum of its
+    ``l_gen`` to ``helper`` and returns it pending; until ``_resolved``
+    waits for it, the helper is the only reader of ``fwd.rec_losses``.
+    """
+    fwd = forward(net, batch.inputs)
+    if batch.inputs.size > CE_BLOCK_ELEMENTS:
+        l_gen = helper.submit(_mean_rec_loss, fwd)
+        hits = np.argmax(fwd.y_hat, axis=1) == np.argmax(batch.labels, axis=1)
+        l_cls = float(1.0 - hits.mean())
+    else:
+        l_gen, l_cls = batch_errors(net, batch, fwd)
+    read_out_finite = bool(np.isfinite(fwd.y_hat).all())
+    pending = isinstance(l_gen, Future)
+    if not (pending and math.isfinite(l_cls) and read_out_finite):
+        # a pending l_gen is checked once resolved, unless the rest fails now
+        _check_evaluation(index, l_gen.result() if pending else l_gen, l_cls, read_out_finite)
     return fwd, (l_gen, l_cls)
+
+
+def _resolved(l_gen: float | Future, l_cls: float, index: int) -> float:
+    """Batch ``index``'s ``l_gen``, waited for and checked if it is pending."""
+    if isinstance(l_gen, Future):
+        l_gen = l_gen.result()
+        _check_evaluation(index, l_gen, l_cls, True)
+    return l_gen
 
 
 def eval_global(net: Network, test_inputs: np.ndarray, test_labels: np.ndarray) -> float:
@@ -174,9 +220,13 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
     batch_bytes = spec.batch_size * (spec.dims + spec.classes) * 8
     depth = max(1, PREFETCH_BYTES // batch_bytes)
     # one worker draws the batches in order, depth ahead: a stream that fits
-    # is drawn whole here, in set-up, and a longer one while the loop trains;
-    # leaving the block joins the worker however the run ends
-    with ThreadPoolExecutor(1, thread_name_prefix="adaptdae-stream") as pool:
+    # is drawn whole here, in set-up, and a longer one while the loop trains.
+    # The helper sums wide batches' l_gen and starts its thread on the first
+    # submit.  Leaving the block joins both however the run ends.
+    with (
+        ThreadPoolExecutor(1, thread_name_prefix="adaptdae-stream") as pool,
+        ThreadPoolExecutor(1, thread_name_prefix="adaptdae-loss") as helper,
+    ):
         ahead = deque(pool.submit(next, batches) for _ in range(min(depth, spec.batches)))
         wait(ahead)
 
@@ -190,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
         records: list[TraceRecord] = []
         path = cfg.out if out_path is None else out_path
         try:
-            for record in _run_batches(cfg, spec, in_order(), test_x, test_y):
+            for record in _run_batches(cfg, spec, in_order(), test_x, test_y, helper):
                 records.append(record)
         finally:
             if path:
@@ -199,10 +249,17 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
 
 
 def _run_batches(
-    cfg: ExperimentConfig, spec: StreamSpec, batches: Iterator[DataBatch], test_x: np.ndarray, test_y: np.ndarray
+    cfg: ExperimentConfig,
+    spec: StreamSpec,
+    batches: Iterator[DataBatch],
+    test_x: np.ndarray,
+    test_y: np.ndarray,
+    helper: ThreadPoolExecutor,
 ) -> Iterator[TraceRecord]:
     """Build the network and the policy, then pass over the batches once,
-    taking each batch one ahead of its training; yield each batch's row."""
+    taking each batch one ahead of its training; yield each batch's row.
+    ``helper`` sums the ``l_gen`` of batches that ``_evaluate_upcoming``
+    hands it."""
     init_rng = np.random.default_rng([cfg.seed, 1])
     train_rng = np.random.default_rng([cfg.seed, 2])
     ctrl_rng = np.random.default_rng([cfg.seed, 3])
@@ -235,12 +292,14 @@ def _run_batches(
     # the newest label histogram and the ema_window ones before it
     histograms: deque[np.ndarray] = deque(maxlen=cfg.rl.ema_window + 1)
     batch = next(batches)
-    fwd, next_eval = _evaluate_upcoming(net, batch, 0)
+    fwd, next_eval = _evaluate_upcoming(net, batch, 0, helper)
 
     for n in range(spec.batches):
         t0 = time.perf_counter()
         # measured before anything trained on this batch; fwd is its forward
-        # under the current parameters until a structural edit makes it stale
+        # under the current parameters until a structural edit makes it stale.
+        # A pending l_gen is resolved where it is first read, and at the
+        # latest once the batch has trained
         l_gen, l_cls = next_eval
         histograms.append(batch.class_histogram())
         kl = window_kl(histograms)
@@ -254,6 +313,7 @@ def _run_batches(
             # only radae reads the recent and diverse pools
             update_recent(pools, batch)
             update_diverse(pools, batch)
+            l_gen = _resolved(l_gen, l_cls, n)
             controller.observe(l_gen, l_cls, net.layers[0].n_hidden, kl)
             decision = controller.decide(n)
             action = decision.kind.value
@@ -269,11 +329,15 @@ def _run_batches(
             # an increment or merge sized to 0 is a no-op
             edited = decision.kind is ActionKind.POOL or delta != 0
         elif cfg.policy == "midae":
+            l_gen = _resolved(l_gen, l_cls, n)  # the step reads fwd.rec_losses
             event = merge_inc_step(net, batch, pools, midae_state, train_rng, fwd)
             if event is not None:
                 # an event edits the parameters even when the width stays the same
                 action, delta, edited = "event", event.added - event.merged, True
         finetune(net, batch, cfg.nn.hybrid_weight, None if edited else fwd)
+        # under sdae the sum ran beside the fine-tune; once resolved, before
+        # the next forward, the helper holds no x_hat
+        l_gen = _resolved(l_gen, l_cls, n)
 
         fwd = None  # stale now that the batch trained; free it before the next
         if n + 1 < spec.batches:
@@ -284,7 +348,7 @@ def _run_batches(
             # every batch trained on so far was drawn before this one, and the
             # stream draws in increasing seq_id order
             assert batch.seq_id > trained_id, "evaluation must precede training"
-            fwd, next_eval = _evaluate_upcoming(net, batch, n + 1)
+            fwd, next_eval = _evaluate_upcoming(net, batch, n + 1, helper)
             e_lcl = next_eval[1]
         else:
             e_lcl = None

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import weakref
+from concurrent.futures import Future
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -543,6 +544,115 @@ def producer_threads():
     return [t for t in threading.enumerate() if t.name.startswith("adaptdae-stream")]
 
 
+def loss_threads():
+    # the loss helper's worker is adaptdae-loss_0
+    return [t for t in threading.enumerate() if t.name.startswith("adaptdae-loss")]
+
+
+def wide_config(policy="sdae", batches=10, rows=84):
+    """A tiny 784-dimensional stream whose batches, of ``rows`` rows, are
+    more than ``network.CE_BLOCK_ELEMENTS`` elements (84 x 784 = 65856)."""
+    cfg = with_pool(tiny_config(policy=policy, seed=5, batches=batches, delta_scale=30.0), capacity=2 * rows)
+    cfg.stream = replace(cfg.stream, dims=784, batch_size=rows)
+    cfg.midae.pool_threshold, cfg.midae.delta_init = 30, 3
+    return cfg
+
+
+class LossHelper:
+    """Wraps ``harness.ThreadPoolExecutor``: counts the submits to the loss
+    helper and, while ``inline`` is set, runs each at once on the caller's
+    thread, as the value was computed before the helper existed."""
+
+    def __init__(self, monkeypatch):
+        self.submits = 0
+        self.inline = False
+        real = harness.ThreadPoolExecutor
+
+        def executor(workers, thread_name_prefix):
+            pool = real(workers, thread_name_prefix=thread_name_prefix)
+            if thread_name_prefix == "adaptdae-loss":
+                pool.submit = self._submitter(pool.submit)
+            return pool
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", executor)
+
+    def _submitter(self, submit):
+        def counted(fn, *args):
+            self.submits += 1
+            if not self.inline:
+                return submit(fn, *args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        return counted
+
+
+class TestLossHelper:
+    """On a batch of more than ``CE_BLOCK_ELEMENTS`` elements the upcoming
+    batch's ``l_gen`` is summed on a second worker while the loop goes on,
+    and resolved where it is first read, by the fine-tune at the latest."""
+
+    @pytest.mark.parametrize("policy", ["sdae", "midae", "radae"])
+    def test_the_helper_changes_no_trace(self, monkeypatch, policy):
+        cfg = wide_config(policy)
+        helper = LossHelper(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter between the threads as often as it can
+        try:
+            threaded = run_experiment(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert helper.submits == cfg.stream.batches
+        helper.inline = True
+        inline = run_experiment(cfg)
+        # above every batch's size, the gate sends nothing to the helper:
+        # each l_gen is a float from batch_errors, as on desk batches
+        monkeypatch.setattr(harness, "CE_BLOCK_ELEMENTS", math.inf)
+        unsent = run_experiment(cfg)
+        assert helper.submits == 2 * cfg.stream.batches
+        assert comparable(threaded.records) == comparable(inline.records) == comparable(unsent.records)
+        if policy != "sdae":
+            assert {r.action for r in threaded.records} - {"none"}, "no structural change to cover"
+
+    @pytest.mark.parametrize("cfg", one_of_each_policy(), ids=["sdae", "midae", "radae"])
+    def test_a_desk_sized_run_submits_nothing(self, monkeypatch, cfg):
+        helper = LossHelper(monkeypatch)
+        started = []
+        real_finetune = harness.finetune
+
+        def spying(net, batch, *args):
+            started.append(bool(loss_threads()))
+            return real_finetune(net, batch, *args)
+
+        monkeypatch.setattr(harness, "finetune", spying)
+        run_experiment(cfg)
+        assert helper.submits == 0
+        assert started == [False] * cfg.stream.batches  # the executor starts no thread unasked
+
+    def test_a_breakdown_seen_only_in_l_gen_names_the_batch(self, monkeypatch, tmp_path):
+        cfg = wide_config("sdae", batches=8)
+        clean = run_experiment(cfg).records
+        real_finetune = harness.finetune
+
+        def poisoning(net, batch, *args, **kwargs):
+            real_finetune(net, batch, *args, **kwargs)
+            if batch.seq_id == 3:
+                # the decoder alone: the read-out and l_cls stay finite
+                net.layers[0].b_rec[:] = np.nan
+            return net
+
+        monkeypatch.setattr(harness, "finetune", poisoning)
+        path = str(tmp_path / "trace.csv")
+        with pytest.raises(NumericalBreakdown, match=r"^batch 4: .*l_gen=nan, l_cls=\d.*read-out finite=True"):
+            run_experiment(cfg, out_path=path)
+        # batch 4's l_gen is resolved after row 3 is written, while batch 4 trains
+        written = read_trace(path)
+        assert comparable(written) == comparable(clean[:4])
+        for r in written:
+            assert all(math.isfinite(v) for v in (r.l_gen, r.l_cls, r.e_lcl, r.e_glb))
+
+
 class TestPrefetch:
     """The batches are drawn on one worker thread, as many ahead as fit in
     ``PREFETCH_BYTES``, and at least one; here the bound is cut to a few
@@ -656,6 +766,43 @@ class TestPrefetch:
         # the batches before the error were delivered, in order
         assert trained == [0, 1, 2, 3]
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("ending", ["finished", "draw-error", "breakdown"])
+    def test_a_wide_run_joins_both_workers(self, monkeypatch, ending):
+        class DrawError(Exception):
+            pass
+
+        cfg = wide_config("sdae", batches=12)
+        monkeypatch.setattr(harness, "PREFETCH_BYTES", one_batch_bytes(cfg))
+        real_stream, real_finetune = harness.iter_stream, harness.finetune
+
+        def failing_stream(*args):
+            yield from itertools.islice(real_stream(*args), 6)
+            raise DrawError("no batch 6")
+
+        helping = []
+
+        def spying(net, batch, *args):
+            helping.append(bool(loss_threads()) and bool(producer_threads()))
+            real_finetune(net, batch, *args)
+            if ending == "breakdown" and batch.seq_id == 5:
+                net.layers[0].b_rec[:] = np.nan
+            return net
+
+        if ending == "draw-error":
+            monkeypatch.setattr(harness, "iter_stream", failing_stream)
+        monkeypatch.setattr(harness, "finetune", spying)
+        before = threading.active_count()
+        if ending == "finished":
+            run_experiment(cfg)
+        else:
+            error, message = (DrawError, "no batch 6") if ending == "draw-error" else (NumericalBreakdown, "^batch 6: ")
+            with pytest.raises(error, match=message):
+                run_experiment(cfg)
+        # both workers ran while the loop trained, and are joined now
+        assert helping and all(helping)
+        assert threading.active_count() == before
+        assert producer_threads() == [] and loss_threads() == []
 
 
 def test_a_784_dim_run_holds_few_batch_arrays():

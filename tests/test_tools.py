@@ -25,7 +25,7 @@ def load_tool(name="trace_digests"):
 def test_every_trace_digest_config_validates():
     with mock.patch.dict(os.environ):  # perfbench/run.py sets the BLAS thread count
         configs = load_tool().trace_configs()
-    assert len(configs) == 37
+    assert len(configs) == 38
     for name, text in configs.items():
         assert validate_experiment(parse_config(text)) == [], name
 

@@ -1,4 +1,4 @@
-"""Trace digests of a fixed set of 37 configs: a refactor's "traces unchanged" check.
+"""Trace digests of a fixed set of 38 configs: a refactor's "traces unchanged" check.
 
     python3 tools/trace_digests.py [--root DIR]
 
@@ -22,7 +22,8 @@ read it; radae in a tight size corridor at seeds 1 and 2; radae with the
 controller's defaults (desk.cfg without its ``rl.*`` lines) in state
 spaces 3 and 1; radae and midae on 784-dimensional desk batches, a
 stream larger than the harness's ``PREFETCH_BYTES``; every benchmark workload
-at sub-seeds 1000 and 1001; every policy with pre-training, with a
+at sub-seeds 1000 and 1001; sdae on four batches of ``sdae-wide``'s
+1000 x 784, whose ``l_gen`` the harness sums on its loss helper; every policy with pre-training, with a
 one-layer net and with the label loss alone; radae on a stationary stream;
 and radae with a diverse pool small enough to evict.  One BLAS thread, as
 the benchmark uses.  A full pass takes about 20 s on a 2-vCPU host.
@@ -76,6 +77,9 @@ def trace_configs(root: Path = ROOT) -> dict[str, str]:
     for workload in bench.WORKLOADS:
         for s in (1000, 1001):
             configs[f"{workload}-{s}"] = bench.config_text(workload, s)
+    configs["sdae-wide-4-batches"] = cfg(
+        "sdae", 1, "stream.dims = 784", "stream.batch_size = 1000", "stream.batches = 4", "summary_last = 4"
+    )
     for tag, line in (("pretrain5", "nn.pretrain_batches = 5"), ("width24", "nn.widths = 24"), ("hybrid0", "nn.hybrid_weight = 0")):
         for p in POLICIES:
             configs[f"desk-{p}-{tag}"] = cfg(p, 1, line)
