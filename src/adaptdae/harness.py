@@ -35,6 +35,7 @@ from .network import (
     Forward,
     Network,
     batch_errors,
+    class_error,
     finetune,
     forward,
     init_network,
@@ -126,12 +127,13 @@ def _evaluate_upcoming(
     A batch of more than ``CE_BLOCK_ELEMENTS`` elements hands the sum of its
     ``l_gen`` to ``helper`` and returns it pending; until ``_resolved``
     waits for it, the helper is the only reader of ``fwd.rec_losses``.
+    A smaller one sums inline: on desk batches the hand-off costs more than
+    the sum saves (see ``network.CE_BLOCK_ELEMENTS``).
     """
     fwd = forward(net, batch.inputs)
     if batch.inputs.size > CE_BLOCK_ELEMENTS:
         l_gen = helper.submit(_mean_rec_loss, fwd)
-        hits = np.argmax(fwd.y_hat, axis=1) == np.argmax(batch.labels, axis=1)
-        l_cls = float(1.0 - hits.mean())
+        l_cls = class_error(fwd.y_hat, batch.labels)
     else:
         l_gen, l_cls = batch_errors(net, batch, fwd)
     read_out_finite = bool(np.isfinite(fwd.y_hat).all())

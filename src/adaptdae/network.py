@@ -19,6 +19,12 @@ PROB_EPS = 1e-7
 # cross_entropy takes its temporaries this many elements at a time: 83 rows
 # of 784, a quarter of a 1000 x 784 array.  Of 2^14 to 2^18, at 1000 x 784,
 # 2^14 ran slowest and 2^16 up no slower than one whole pass (BENCH_24.json).
+# It also sets where harness's loss helper starts: a batch of more elements
+# sums its l_gen on that thread.  With every batch submitted, radae-desk and
+# midae-switch (16 x 100 batches) ran 5.1% and 8.0% fewer examples per
+# second, losing 10 of 10 pairs each.  At 784 dims, from 8 rows up, the
+# helper saved sdae 3-12% per batch and cost radae at most 0.5% (BENCH_25.json
+# "gate_removed", "gate_size_sweep").  A retune of the block moves that gate.
 CE_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -334,19 +340,24 @@ def mean_discriminative_loss(net: Network, batch: DataBatch, fwd: Forward | None
     return float(cross_entropy(batch.labels, y_hat).mean())
 
 
-def batch_errors(net: Network, batch: DataBatch, fwd: Forward | None = None) -> tuple[float, float]:
-    """Mean reconstruction loss and misclassification fraction on a batch.
+def class_error(y_hat: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of rows whose predicted class is not the one-hot label's.
 
     Ties in the predicted class are broken toward the lowest index, so the
     result is deterministic.
     """
+    hits = np.argmax(y_hat, axis=1) == np.argmax(labels, axis=1)
+    return float(1.0 - hits.mean())
+
+
+def batch_errors(net: Network, batch: DataBatch, fwd: Forward | None = None) -> tuple[float, float]:
+    """Mean reconstruction loss and misclassification fraction
+    (``class_error``) on a batch."""
     if batch.size == 0:
         raise ValueError("cannot evaluate an empty batch")
     if fwd is None:
         fwd = forward(net, batch.inputs)
-    l_gen = float(fwd.rec_losses.mean())
-    hits = np.argmax(fwd.y_hat, axis=1) == np.argmax(batch.labels, axis=1)
-    return l_gen, float(1.0 - hits.mean())
+    return float(fwd.rec_losses.mean()), class_error(fwd.y_hat, batch.labels)
 
 
 @dataclass

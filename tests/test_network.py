@@ -13,6 +13,7 @@ from adaptdae.network import (
     DataBatch,
     Layer,
     batch_errors,
+    class_error,
     corrupt,
     cross_entropy,
     dae_gradients,
@@ -271,6 +272,12 @@ class TestBatchErrors:
             batch = make_batch(rng, 16, 6, 3)
             _, l_cls = batch_errors(net, batch)
             assert 0.0 <= l_cls <= 1.0
+
+    def test_class_error_breaks_ties_toward_the_lowest_class(self):
+        y_hat = np.array([[0.5, 0.5, 0.0], [0.2, 0.4, 0.4], [0.1, 0.1, 0.8], [1 / 3, 1 / 3, 1 / 3]])
+        labels = np.eye(3)[[0, 2, 2, 1]]
+        # rows 0 and 2 hit; the tie in row 1 names class 1 and the one in row 3 class 0
+        assert class_error(y_hat, labels) == 0.5
 
 
 class TestPretrain:
