@@ -8,9 +8,11 @@ pre-trained, unsupervised, on their inputs before batch 0, so they are
 evaluated after that.  The global error is measured on a class-balanced
 held-out split after every batch.  Runs with the same seed share the
 stream and the initial network across policies.  One worker thread draws
-the batches, up to ``PREFETCH_BYTES`` ahead, while the loop trains; on
-batches of more than ``CE_BLOCK_ELEMENTS`` elements a second one sums the
-upcoming batch's reconstruction loss.
+the batches, up to ``PREFETCH_BYTES`` ahead, while the loop trains.  On
+wide batches, of more than ``CE_BLOCK_ELEMENTS`` elements, a second one,
+the loss helper, sums the upcoming batch's reconstruction loss and runs
+the label half of each fine-tune's backward while the loop's thread runs
+the reconstruction half.  The loop's thread runs everything else.
 """
 
 from __future__ import annotations
@@ -114,8 +116,16 @@ def _check_evaluation(index: int, l_gen: float, l_cls: float, read_out_finite: b
 
 def _mean_rec_loss(fwd: Forward) -> float:
     # runs on the loss helper, so it calls nothing the benchmark spans: its
-    # tracer keeps one span stack for all threads
+    # tracer keeps one span stack for all threads.  The same holds for the
+    # label backward that finetune hands the helper
     return float(fwd.rec_losses.mean())
+
+
+def _wide(batch: DataBatch) -> bool:
+    """Whether ``batch`` hands work to the loss helper: its ``l_gen`` sum
+    and its fine-tune's label backward.  On desk batches each hand-off
+    costs more than it saves (see ``network.CE_BLOCK_ELEMENTS``)."""
+    return batch.inputs.size > CE_BLOCK_ELEMENTS
 
 
 def _evaluate_upcoming(
@@ -124,14 +134,12 @@ def _evaluate_upcoming(
     """Forward batch ``index`` before anything trains on it and measure its
     losses; the forward serves its training while the parameters stay.
 
-    A batch of more than ``CE_BLOCK_ELEMENTS`` elements hands the sum of its
-    ``l_gen`` to ``helper`` and returns it pending; until ``_resolved``
-    waits for it, the helper is the only reader of ``fwd.rec_losses``.
-    A smaller one sums inline: on desk batches the hand-off costs more than
-    the sum saves (see ``network.CE_BLOCK_ELEMENTS``).
+    A ``_wide`` batch hands the sum of its ``l_gen`` to ``helper`` and
+    returns it pending; until ``_resolved`` waits for it, the helper is the
+    only reader of ``fwd.rec_losses``.  Any other batch sums inline.
     """
     fwd = forward(net, batch.inputs)
-    if batch.inputs.size > CE_BLOCK_ELEMENTS:
+    if _wide(batch):
         l_gen = helper.submit(_mean_rec_loss, fwd)
         l_cls = class_error(fwd.y_hat, batch.labels)
     else:
@@ -160,8 +168,7 @@ def eval_global(net: Network, test_inputs: np.ndarray, test_labels: np.ndarray) 
     y_hat = predict(net, test_inputs)
     if not np.isfinite(y_hat).all():
         return math.nan
-    hits = np.argmax(y_hat, axis=1) == np.argmax(test_labels, axis=1)
-    return float(1.0 - hits.mean())
+    return class_error(y_hat, test_labels)
 
 
 def _build_source(cfg: ExperimentConfig, rng: np.random.Generator) -> LabeledSource:
@@ -223,8 +230,9 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
     depth = max(1, PREFETCH_BYTES // batch_bytes)
     # one worker draws the batches in order, depth ahead: a stream that fits
     # is drawn whole here, in set-up, and a longer one while the loop trains.
-    # The helper sums wide batches' l_gen and starts its thread on the first
-    # submit.  Leaving the block joins both however the run ends.
+    # The helper takes wide batches' l_gen sums and label backwards and
+    # starts its thread on the first submit.  Leaving the block joins both
+    # however the run ends.
     with (
         ThreadPoolExecutor(1, thread_name_prefix="adaptdae-stream") as pool,
         ThreadPoolExecutor(1, thread_name_prefix="adaptdae-loss") as helper,
@@ -260,8 +268,8 @@ def _run_batches(
 ) -> Iterator[TraceRecord]:
     """Build the network and the policy, then pass over the batches once,
     taking each batch one ahead of its training; yield each batch's row.
-    ``helper`` sums the ``l_gen`` of batches that ``_evaluate_upcoming``
-    hands it."""
+    ``helper`` sums the ``l_gen`` of the batches that ``_evaluate_upcoming``
+    hands it and runs the label backward of their fine-tunes."""
     init_rng = np.random.default_rng([cfg.seed, 1])
     train_rng = np.random.default_rng([cfg.seed, 2])
     ctrl_rng = np.random.default_rng([cfg.seed, 3])
@@ -336,9 +344,11 @@ def _run_batches(
             if event is not None:
                 # an event edits the parameters even when the width stays the same
                 action, delta, edited = "event", event.added - event.merged, True
-        finetune(net, batch, cfg.nn.hybrid_weight, None if edited else fwd)
-        # under sdae the sum ran beside the fine-tune; once resolved, before
-        # the next forward, the helper holds no x_hat
+        # on a wide batch the helper's one worker sums l_gen before it runs
+        # this label backward, so once the fine-tune has joined that, the sum
+        # is done too
+        finetune(net, batch, cfg.nn.hybrid_weight, None if edited else fwd, helper=helper if _wide(batch) else None)
+        # once resolved, before the next forward, the helper holds no x_hat
         l_gen = _resolved(l_gen, l_cls, n)
 
         fwd = None  # stale now that the batch trained; free it before the next

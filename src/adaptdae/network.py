@@ -10,6 +10,7 @@ terms stay finite.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,12 +20,14 @@ PROB_EPS = 1e-7
 # cross_entropy takes its temporaries this many elements at a time: 83 rows
 # of 784, a quarter of a 1000 x 784 array.  Of 2^14 to 2^18, at 1000 x 784,
 # 2^14 ran slowest and 2^16 up no slower than one whole pass (BENCH_24.json).
-# It also sets where harness's loss helper starts: a batch of more elements
-# sums its l_gen on that thread.  With every batch submitted, radae-desk and
-# midae-switch (16 x 100 batches) ran 5.1% and 8.0% fewer examples per
-# second, losing 10 of 10 pairs each.  At 784 dims, from 8 rows up, the
-# helper saved sdae 3-12% per batch and cost radae at most 0.5% (BENCH_25.json
-# "gate_removed", "gate_size_sweep").  A retune of the block moves that gate.
+# It also sets where harness's loss helper starts (harness._wide): a batch of
+# more elements hands that thread two jobs, the sum of its l_gen and the
+# label half of its fine-tune's backward.  With every batch's sum submitted,
+# radae-desk and midae-switch (16 x 100 batches) ran 5.1% and 8.0% fewer
+# examples per second, losing 10 of 10 pairs each.  At 784 dims, from 8 rows
+# up, the sum's hand-off saved sdae 3-12% per batch and cost radae at most
+# 0.5% (BENCH_25.json "gate_removed", "gate_size_sweep").  A retune of the
+# block moves that gate.
 CE_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -447,19 +450,43 @@ def network_loss(
     return disc + hybrid_weight * gen, disc, gen
 
 
-def _gradients(net: Network, batch: DataBatch, hybrid_weight: float, fwd: Forward | None = None) -> NetworkGrads:
+def _gradients(
+    net: Network,
+    batch: DataBatch,
+    hybrid_weight: float,
+    fwd: Forward | None = None,
+    *,
+    helper: Executor | None = None,
+) -> NetworkGrads:
     """Analytic gradients of the mean hybrid objective; no loss value is
     computed.  Without ``fwd`` the decoder stack runs only if
-    ``hybrid_weight`` is non-zero."""
+    ``hybrid_weight`` is non-zero.
+
+    Given ``helper`` and a non-zero ``hybrid_weight``, the label loss's
+    encoder backward runs on ``helper`` while the reconstruction backward
+    runs here; both only read the forward and the parameters, and their
+    results are combined as without ``helper``, so every bit is the same.
+    """
     if fwd is None:
         fwd = forward(net, batch.inputs, decode=hybrid_weight != 0.0)
     acts = fwd.acts
     dz = _output_delta(fwd.y_hat, batch.labels)
-    enc = _encoder_backward(net.layers, acts, dz @ net.out_W)
     if hybrid_weight == 0.0:
+        enc = _encoder_backward(net.layers, acts, dz @ net.out_W)
         layers = [LayerGrads(dW, db, np.zeros_like(l.b_rec)) for l, (dW, db) in zip(net.layers, enc)]
     else:
-        rec = _reconstruction_grads(net.layers, acts, fwd.recs[1:], fwd.recs[0] - acts[0])
+        if helper is None:
+            enc = _encoder_backward(net.layers, acts, dz @ net.out_W)
+            rec = _reconstruction_grads(net.layers, acts, fwd.recs[1:], fwd.recs[0] - acts[0])
+        else:
+            label = helper.submit(_encoder_backward, net.layers, acts, dz @ net.out_W)
+            try:
+                rec = _reconstruction_grads(net.layers, acts, fwd.recs[1:], fwd.recs[0] - acts[0])
+            finally:
+                # joined however this half ends: the caller may change the
+                # parameters once this returns or raises
+                wait([label])
+            enc = label.result()  # raises the helper's error with its type
         layers = [
             LayerGrads(dW + hybrid_weight * r.dW, db + hybrid_weight * r.db, hybrid_weight * r.db_rec)
             for (dW, db), r in zip(enc, rec)
@@ -482,14 +509,22 @@ def network_gradients(
     return _gradients(net, batch, hybrid_weight, fwd), disc, gen
 
 
-def finetune(net: Network, batch: DataBatch, hybrid_weight: float = 0.2, fwd: Forward | None = None) -> Network:
+def finetune(
+    net: Network,
+    batch: DataBatch,
+    hybrid_weight: float = 0.2,
+    fwd: Forward | None = None,
+    *,
+    helper: Executor | None = None,
+) -> Network:
     """One SGD step on the mean hybrid objective over the batch.
 
     The step computes the gradients alone: neither loss's value is taken.
+    ``helper`` runs the label half of the backward, as in ``_gradients``.
     """
     if batch.inputs.shape[1] != net.n_input:
         raise ValueError("batch dimensionality does not match the network")
-    grads = _gradients(net, batch, hybrid_weight, fwd)
+    grads = _gradients(net, batch, hybrid_weight, fwd, helper=helper)
     lr = net.learning_rate
     pairs = []
     for layer, g in zip(net.layers, grads.layers):

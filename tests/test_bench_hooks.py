@@ -7,6 +7,8 @@ stream under each policy so that it shows up here instead.  The child
 replaces ``harness.TraceRecord`` for the whole run, trace writing included.
 Likewise, each kernel ``perfbench/micro.py`` times is called once here, so a
 changed kernel signature fails tier-1 rather than a traced benchmark run.
+The child's tracer keeps one span stack for all threads, so every function
+it spans must run on the loop's thread, wide batches' loss helper or not.
 """
 
 import importlib.util
@@ -14,9 +16,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+import adaptdae.network as network
+from adaptdae import harness
+from adaptdae.config import parse_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CHILD = PERFBENCH / "child.py"
@@ -109,11 +118,57 @@ def test_traced_child_reaches_the_policy_spans(tmp_path, policy):
         assert layers.get(name, {}).get("calls", 0) > 0, name
 
 
+def load_perfbench(monkeypatch, name: str):
+    """Import ``perfbench/NAME.py`` without writing into perfbench/ or
+    keeping the ``sys.path`` entry it adds."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class ThreadRecorder:
+    """Stands in for ``child.Tracer``: wraps each name ``install_spans``
+    wraps, for the length of a test, and notes the threads that call it."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.threads: dict[str, set[str]] = defaultdict(set)
+
+    def wrap(self, owner, attr: str, name: str, amount=None, peak=None) -> None:
+        fn = getattr(owner, attr)
+        threads = self.threads[name]
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.current_thread().name)
+            return fn(*args, **kwargs)
+
+        self.monkeypatch.setattr(owner, attr, recorded)
+
+
+@pytest.mark.parametrize("policy", ["sdae", "midae", "radae"])
+def test_no_span_runs_off_the_loop_thread(monkeypatch, policy):
+    child = load_perfbench(monkeypatch, "child")
+    recorder = ThreadRecorder(monkeypatch)
+    child.install_spans(recorder)
+    # also note who runs the encoder backward, which is not spanned: the
+    # loss helper runs the label half of each wide batch's fine-tune
+    recorder.wrap(network, "_encoder_backward", "encoder_backward")
+    cfg = parse_config(TINY_RADAE if policy == "radae" else TINY[policy])
+    cfg.stream = replace(cfg.stream, dims=784, batch_size=84, batches=8)
+    assert cfg.stream.batch_size * cfg.stream.dims > network.CE_BLOCK_ELEMENTS  # every batch is wide
+    harness.run_experiment(cfg)
+    helpers = recorder.threads.pop("encoder_backward") - {threading.current_thread().name}
+    assert helpers and all(name.startswith("adaptdae-loss") for name in helpers)
+    called = {name: threads for name, threads in recorder.threads.items() if threads}
+    assert {"network.finetune", "network.sigmoid", "harness.eval_global"} <= called.keys()
+    assert all(threads == {threading.current_thread().name} for threads in called.values()), called
+
+
 def test_every_microbenchmark_kernel_runs(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
-    spec = importlib.util.spec_from_file_location("perfbench_micro", PERFBENCH / "micro.py")
-    micro = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(micro)
+    micro = load_perfbench(monkeypatch, "micro")  # leave perfbench/ as it is
     kernels = micro.kernels(1)
     declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
     assert [k[:2] for k in kernels] == [(m["name"], m["unit"]) for m in declared if m["name"].startswith("micro.")]

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import weakref
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import fields, replace
 from pathlib import Path
@@ -394,7 +395,7 @@ class TestSharedForward:
         shared = run_experiment(cfg)
         real_finetune, real_step = harness.finetune, harness.merge_inc_step
         # drop every forward the harness hands on, so each step recomputes
-        monkeypatch.setattr(harness, "finetune", lambda net, batch, w, fwd: real_finetune(net, batch, w))
+        monkeypatch.setattr(harness, "finetune", lambda net, batch, w, fwd, **kw: real_finetune(net, batch, w, **kw))
         monkeypatch.setattr(harness, "merge_inc_step", lambda *args: real_step(*args[:-1]))
         recomputed = run_experiment(cfg)
         assert comparable(shared.records) == comparable(recomputed.records)
@@ -420,9 +421,9 @@ def finetune_calls(monkeypatch, cfg):
     calls = []
     real = harness.finetune
 
-    def spying(net, batch, hybrid_weight, fwd):
+    def spying(net, batch, hybrid_weight, fwd, **kwargs):
         calls.append((batch.seq_id, fwd is None))
-        return real(net, batch, hybrid_weight, fwd)
+        return real(net, batch, hybrid_weight, fwd, **kwargs)
 
     monkeypatch.setattr(harness, "finetune", spying)
     return run_experiment(cfg).records, calls
@@ -457,8 +458,9 @@ def masked_sigmoid_into(v, out=None):
     return out
 
 
-def plain_finetune(net, batch, hybrid_weight=0.2, fwd=None):
-    # the reference runs its own forward, so ``fwd`` is ignored
+def plain_finetune(net, batch, hybrid_weight=0.2, fwd=None, *, helper=None):
+    # the reference runs its own forward and both halves of its backward, so
+    # ``fwd`` and ``helper`` are ignored
     grads, _, _ = plain_network_gradients(net, batch, hybrid_weight)
     for p, g in zip(_collect_params(net), _collect_grads(grads)):
         p[...] = p - net.learning_rate * g
@@ -560,11 +562,12 @@ def wide_config(policy="sdae", batches=10, rows=84):
 
 class LossHelper:
     """Wraps ``harness.ThreadPoolExecutor``: counts the submits to the loss
-    helper and, while ``inline`` is set, runs each at once on the caller's
-    thread, as the value was computed before the helper existed."""
+    helper by the name of the callable and, while ``inline`` is set, runs
+    each at once on the caller's thread, as the value was computed before
+    the helper existed."""
 
     def __init__(self, monkeypatch):
-        self.submits = 0
+        self.submits = Counter()
         self.inline = False
         real = harness.ThreadPoolExecutor
 
@@ -578,7 +581,7 @@ class LossHelper:
 
     def _submitter(self, submit):
         def counted(fn, *args):
-            self.submits += 1
+            self.submits[fn.__name__] += 1
             if not self.inline:
                 return submit(fn, *args)
             future = Future()
@@ -603,14 +606,16 @@ class TestLossHelper:
             threaded = run_experiment(cfg)
         finally:
             sys.setswitchinterval(interval)
-        assert helper.submits == cfg.stream.batches
+        # one l_gen sum and one label backward per batch
+        per_run = Counter({"_mean_rec_loss": cfg.stream.batches, "_encoder_backward": cfg.stream.batches})
+        assert helper.submits == per_run
         helper.inline = True
         inline = run_experiment(cfg)
         # above every batch's size, the gate sends nothing to the helper:
         # each l_gen is a float from batch_errors, as on desk batches
         monkeypatch.setattr(harness, "CE_BLOCK_ELEMENTS", math.inf)
         unsent = run_experiment(cfg)
-        assert helper.submits == 2 * cfg.stream.batches
+        assert helper.submits == per_run + per_run
         assert comparable(threaded.records) == comparable(inline.records) == comparable(unsent.records)
         if policy != "sdae":
             assert {r.action for r in threaded.records} - {"none"}, "no structural change to cover"
@@ -618,17 +623,19 @@ class TestLossHelper:
     @pytest.mark.parametrize("cfg", one_of_each_policy(), ids=["sdae", "midae", "radae"])
     def test_a_desk_sized_run_submits_nothing(self, monkeypatch, cfg):
         helper = LossHelper(monkeypatch)
-        started = []
+        started, handed = [], []
         real_finetune = harness.finetune
 
-        def spying(net, batch, *args):
+        def spying(net, batch, *args, **kwargs):
             started.append(bool(loss_threads()))
-            return real_finetune(net, batch, *args)
+            handed.append(kwargs["helper"])
+            return real_finetune(net, batch, *args, **kwargs)
 
         monkeypatch.setattr(harness, "finetune", spying)
         run_experiment(cfg)
-        assert helper.submits == 0
+        assert helper.submits == {}
         assert started == [False] * cfg.stream.batches  # the executor starts no thread unasked
+        assert handed == [None] * cfg.stream.batches  # each fine-tune runs its whole backward inline
 
     def test_a_breakdown_seen_only_in_l_gen_names_the_batch(self, monkeypatch, tmp_path):
         cfg = wide_config("sdae", batches=8)
@@ -723,11 +730,11 @@ class TestPrefetch:
         real_finetune = harness.finetune
         producing = []
 
-        def failing(net, batch, *args):
+        def failing(net, batch, *args, **kwargs):
             if batch.seq_id == failing_at:
                 producing.append(bool(producer_threads()))
                 raise error("step failed")
-            return real_finetune(net, batch, *args)
+            return real_finetune(net, batch, *args, **kwargs)
 
         monkeypatch.setattr(harness, "finetune", failing)
         with pytest.raises(error, match="step failed"):
@@ -756,9 +763,9 @@ class TestPrefetch:
         trained = []
         real_finetune = harness.finetune
 
-        def spying(net, batch, *args):
+        def spying(net, batch, *args, **kwargs):
             trained.append(batch.seq_id)
-            return real_finetune(net, batch, *args)
+            return real_finetune(net, batch, *args, **kwargs)
 
         monkeypatch.setattr(harness, "finetune", spying)
         with pytest.raises(DrawError, match="no batch 4"):
@@ -782,9 +789,9 @@ class TestPrefetch:
 
         helping = []
 
-        def spying(net, batch, *args):
+        def spying(net, batch, *args, **kwargs):
             helping.append(bool(loss_threads()) and bool(producer_threads()))
-            real_finetune(net, batch, *args)
+            real_finetune(net, batch, *args, **kwargs)
             if ending == "breakdown" and batch.seq_id == 5:
                 net.layers[0].b_rec[:] = np.nan
             return net

@@ -1,6 +1,10 @@
 import copy
 import math
+import threading
+import time
 import tracemalloc
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -457,6 +461,89 @@ class TestSharedForward:
         assert forward(net, batch.inputs, decode=False).recs is None
 
 
+class CountingExecutor(ThreadPoolExecutor):
+    """A one-worker executor that counts its submits by the callable's name
+    and keeps their futures."""
+
+    def __init__(self):
+        super().__init__(1, thread_name_prefix="test-helper")
+        self.submits = Counter()
+        self.futures = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submits[fn.__name__] += 1
+        future = super().submit(fn, *args, **kwargs)
+        self.futures.append(future)
+        return future
+
+
+class TestLabelBackwardOnAHelper:
+    """``finetune(..., helper=)`` runs the label loss's encoder backward on
+    the helper while the caller runs the reconstruction backward."""
+
+    @pytest.mark.parametrize("widths", [(5,), (5, 4, 3)], ids=["1-layer", "3-layer"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["fwd-none", "fwd-given"])
+    @pytest.mark.parametrize("hybrid_weight", [0.2, 0.0])
+    def test_the_helper_changes_no_parameter(self, rng, widths, shared, hybrid_weight):
+        net = make_net(rng, dims=6, widths=widths, classes=3)
+        helped = copy.deepcopy(net)
+        with CountingExecutor() as helper:
+            for i in range(5):
+                batch = make_batch(rng, 40, 6, 3, seq_id=i)
+                fwd = forward(helped, batch.inputs) if shared else None
+                finetune(helped, batch, hybrid_weight, fwd, helper=helper)
+                finetune(net, batch, hybrid_weight)
+                for a, b in zip(_collect_params(helped), _collect_params(net)):
+                    assert same_bits(a, b)
+        # the label loss alone has no second half to run beside, so it stays inline
+        assert helper.submits == (Counter({"_encoder_backward": 5}) if hybrid_weight else Counter())
+
+    def test_an_error_in_the_helper_surfaces_with_its_type(self, rng, monkeypatch):
+        class LabelHalfError(Exception):
+            pass
+
+        caller = threading.current_thread()
+        real = network._encoder_backward
+
+        def failing_off_the_caller(*args, **kwargs):
+            # the reconstruction half runs the encoder backward too, on the caller
+            if threading.current_thread() is not caller:
+                raise LabelHalfError("label half failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(network, "_encoder_backward", failing_off_the_caller)
+        net = make_net(rng)
+        before = copy.deepcopy(net)
+        with CountingExecutor() as helper:
+            with pytest.raises(LabelHalfError, match="label half failed"):
+                finetune(net, make_batch(rng, 8, 6, 3), 0.2, helper=helper)
+        assert len(helper.futures) == 1
+        # the step stopped before it changed a parameter
+        for a, b in zip(_collect_params(net), _collect_params(before)):
+            assert same_bits(a, b)
+
+    def test_a_failing_reconstruction_half_waits_for_the_label_half(self, rng, monkeypatch):
+        class ReconstructionHalfError(Exception):
+            pass
+
+        real = network._encoder_backward
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        def failing(*args):
+            raise ReconstructionHalfError("reconstruction half failed")
+
+        monkeypatch.setattr(network, "_encoder_backward", slow)
+        monkeypatch.setattr(network, "_reconstruction_grads", failing)
+        with CountingExecutor() as helper:
+            with pytest.raises(ReconstructionHalfError):
+                finetune(make_net(rng), make_batch(rng, 8, 6, 3), 0.2, helper=helper)
+            # once finetune has raised, nothing reads the parameters any more
+            assert len(helper.futures) == 1 and helper.futures[0].done()
+
+
 def _reference_disc_gradients(net, batch):
     """Independent forward and backward pass for the label loss alone."""
     from adaptdae.network import PROB_EPS
@@ -793,7 +880,8 @@ class TestSaturatedUnitsKeepTheirBits:
         for hybrid_weight in (0.0, 0.2, 1.0):
             step_both(
                 lambda n: finetune(n, batch, hybrid_weight),
-                (network, "_gradients", lambda *args: plain_network_gradients(*args)[0]),
+                # the reference runs both halves of the backward itself
+                (network, "_gradients", lambda *args, helper=None: plain_network_gradients(*args)[0]),
             )
         step_both(
             lambda n: pretrain_layer(n, len(widths) - 1, [batch], 1, np.random.default_rng(seed)),

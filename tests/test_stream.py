@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from adaptdae.network import DataBatch
 from adaptdae.stream import (
+    SELECT_BLOCK_ELEMENTS,
     LabeledSource,
     StreamSpec,
     _ratio_schedule,
@@ -228,22 +229,37 @@ def stream_cases(draw):
     return source, spec
 
 
+def assert_equals_the_reference(source, spec, materialise):
+    rng, reference_rng = np.random.default_rng(spec.seed), np.random.default_rng(spec.seed)
+    expected = reference_build_stream(source, spec, reference_rng)
+    got = build_stream(source, spec, rng) if materialise else list(iter_stream(source, spec, rng))
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.seq_id == b.seq_id
+        for x, y in ((a.inputs, b.inputs), (a.labels, b.labels)):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape)
+            assert x.tobytes() == y.tobytes()
+    # the same draws in the same order leave the generator where the reference left it
+    assert rng.random() == reference_rng.random()
+
+
 class TestIterStream:
     @settings(max_examples=200, deadline=None)
     @given(case=stream_cases(), materialise=st.booleans())
     def test_draws_equal_the_reference_byte_for_byte(self, case, materialise):
-        source, spec = case
-        rng, reference_rng = np.random.default_rng(spec.seed), np.random.default_rng(spec.seed)
-        expected = reference_build_stream(source, spec, reference_rng)
-        got = build_stream(source, spec, rng) if materialise else list(iter_stream(source, spec, rng))
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert a.seq_id == b.seq_id
-            for x, y in ((a.inputs, b.inputs), (a.labels, b.labels)):
-                assert (x.dtype, x.shape) == (y.dtype, y.shape)
-                assert x.tobytes() == y.tobytes()
-        # the same draws in the same order leave the generator where the reference left it
-        assert rng.random() == reference_rng.random()
+        assert_equals_the_reference(*case, materialise)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mask_noise", [0.2, 1.0])
+    def test_a_batch_wider_than_one_select_block_equals_the_reference(self, dtype, mask_noise):
+        # the property's batches are never larger than one select block; this
+        # one spans a whole block and a part of one
+        spec = StreamSpec(classes=3, dims=784, batch_size=100, batches=3, mask_noise=mask_noise, seed=21)
+        elements = spec.batch_size * spec.dims
+        assert elements > SELECT_BLOCK_ELEMENTS and elements % SELECT_BLOCK_ELEMENTS
+        store_rng = np.random.default_rng(spec.seed)
+        source = LabeledSource([store_rng.random((n, spec.dims)).astype(dtype) for n in (40, 7, 25)])
+        assert_equals_the_reference(source, spec, materialise=False)
 
     @settings(max_examples=50, deadline=None)
     @given(case=stream_cases())
