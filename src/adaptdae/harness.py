@@ -123,8 +123,9 @@ def _mean_rec_loss(fwd: Forward) -> float:
 
 def _wide(batch: DataBatch) -> bool:
     """Whether ``batch`` hands work to the loss helper: its ``l_gen`` sum
-    and its fine-tune's label backward.  On desk batches each hand-off
-    costs more than it saves (see ``network.CE_BLOCK_ELEMENTS``)."""
+    and its fine-tune's label backward.  Each hand-off, made on every
+    batch, cost radae-desk and midae-switch 5-8% of their examples per
+    second (see ``network.CE_BLOCK_ELEMENTS``)."""
     return batch.inputs.size > CE_BLOCK_ELEMENTS
 
 
@@ -344,9 +345,6 @@ def _run_batches(
             if event is not None:
                 # an event edits the parameters even when the width stays the same
                 action, delta, edited = "event", event.added - event.merged, True
-        # on a wide batch the helper's one worker sums l_gen before it runs
-        # this label backward, so once the fine-tune has joined that, the sum
-        # is done too
         finetune(net, batch, cfg.nn.hybrid_weight, None if edited else fwd, helper=helper if _wide(batch) else None)
         # once resolved, before the next forward, the helper holds no x_hat
         l_gen = _resolved(l_gen, l_cls, n)

@@ -26,8 +26,12 @@ PROB_EPS = 1e-7
 # radae-desk and midae-switch (16 x 100 batches) ran 5.1% and 8.0% fewer
 # examples per second, losing 10 of 10 pairs each.  At 784 dims, from 8 rows
 # up, the sum's hand-off saved sdae 3-12% per batch and cost radae at most
-# 0.5% (BENCH_25.json "gate_removed", "gate_size_sweep").  A retune of the
-# block moves that gate.
+# 0.5% (BENCH_25.json "gate_removed", "gate_size_sweep").  With every
+# batch's label backward submitted, they ran 5.6% and 5.0% fewer, losing 10
+# of 10 pairs each; at 784 dims that hand-off cost 2-13% below 42 rows and
+# saved sdae 3-8% and radae 1.5-3.4% from 84 rows up (BENCH_26.json
+# "*_label_backward_ungated", "label_backward_gate_size_sweep").  A retune
+# of the block moves both.
 CE_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -471,21 +475,22 @@ def _gradients(
         fwd = forward(net, batch.inputs, decode=hybrid_weight != 0.0)
     acts = fwd.acts
     dz = _output_delta(fwd.y_hat, batch.labels)
-    if hybrid_weight == 0.0:
+    label = None
+    if helper is not None and hybrid_weight != 0.0:
+        label = helper.submit(_encoder_backward, net.layers, acts, dz @ net.out_W)
+    else:
         enc = _encoder_backward(net.layers, acts, dz @ net.out_W)
+    if hybrid_weight == 0.0:
         layers = [LayerGrads(dW, db, np.zeros_like(l.b_rec)) for l, (dW, db) in zip(net.layers, enc)]
     else:
-        if helper is None:
-            enc = _encoder_backward(net.layers, acts, dz @ net.out_W)
+        try:
             rec = _reconstruction_grads(net.layers, acts, fwd.recs[1:], fwd.recs[0] - acts[0])
-        else:
-            label = helper.submit(_encoder_backward, net.layers, acts, dz @ net.out_W)
-            try:
-                rec = _reconstruction_grads(net.layers, acts, fwd.recs[1:], fwd.recs[0] - acts[0])
-            finally:
+        finally:
+            if label is not None:
                 # joined however this half ends: the caller may change the
                 # parameters once this returns or raises
                 wait([label])
+        if label is not None:
             enc = label.result()  # raises the helper's error with its type
         layers = [
             LayerGrads(dW + hybrid_weight * r.dW, db + hybrid_weight * r.db, hybrid_weight * r.db_rec)
