@@ -21,11 +21,12 @@ from .ranges import out_of_range, within
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-# The mask-noise select takes this many elements of a batch at a time.  At
-# 1000 x 784 with mask_noise 0.2 on a 2 vCPU AMD EPYC, blocks of 2^16 took
-# 0.45 ms a batch, as fast as one whole-batch select, whose index and value
-# temporaries take 2.5 MB against 0.2 MB; blocks of 2^14 took 0.52 ms, and a
-# putmask per class block 1.24 ms.
+# A batch's mask-noise uniforms are drawn this many at a time: the mask's
+# through one block of this size, the values' into a window of this size
+# whose hits are kept each time it fills.  At 1000 x 784 with mask_noise 0.2
+# on a 2 vCPU AMD EPYC, a draw took 5.1-6.1 ms with blocks of 2^14 to 2^17
+# alike and 6.0-7.8 ms with 2^18; at 2^16 the block and the window take
+# 0.5 MB each, against 6.3 MB for one float64 batch.
 SELECT_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -121,17 +122,20 @@ def class_ratios(curves: np.ndarray, t: int) -> np.ndarray:
 
 
 def largest_remainder_counts(ratios: np.ndarray, total: int) -> np.ndarray:
-    """Integer class counts summing exactly to ``total``.
+    """Integer class counts summing exactly to ``total``, for one ratio
+    vector or for every row of a ``(batches, classes)`` schedule at once.
 
     Floors first, then hands the leftovers to the largest fractional
     remainders; ties go to the lower class index.
     """
     scaled = np.asarray(ratios, dtype=np.float64) * total
     base = np.floor(scaled).astype(int)
-    leftover = total - int(base.sum())
-    order = np.argsort(-(scaled - base), kind="stable")
-    base[order[:leftover]] += 1
-    return base
+    leftover = total - base.sum(axis=-1, keepdims=True)
+    order = np.argsort(-(scaled - base), axis=-1, kind="stable")
+    # each class's rank among its row's remainders: the first leftover ranks get one more
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(scaled.shape[-1]), axis=-1)
+    return base + (rank < leftover)
 
 
 def _switch_ratios(classes: int, skew: float) -> tuple[np.ndarray, np.ndarray]:
@@ -166,13 +170,14 @@ def iter_stream(
 ) -> Iterator[DataBatch]:
     """The batch sequence, drawn one batch at a time; bitwise reproducible per seed.
 
-    The checks and the ratio schedule run when this is called; each batch
-    is drawn when it is asked for, with ``build_stream``'s draws in the same
-    order.  A batch allocates only its own ``inputs`` and ``labels``: the
-    class blocks, the mask-noise draws and the mask live in scratch buffers
-    reused across batches.  The masked elements take their noise values in
-    one select per batch, after every class block is drawn, taken
-    ``SELECT_BLOCK_ELEMENTS`` elements at a time.
+    The checks, the ratio schedule and its class counts run when this is
+    called, and the class stores are copied into one float64 array; each
+    batch is drawn when it is asked for, with ``build_stream``'s draws in
+    the same order.  Between draws the generator holds no batch-sized
+    array: a batch is gathered from the pooled rows already in permuted
+    order, and the noise values of its masked elements are kept, a window
+    of ``SELECT_BLOCK_ELEMENTS`` draws at a time, only where the mask hits,
+    then written where their rows moved to.
     """
     spec.validate()
     source.validate()
@@ -182,48 +187,92 @@ def iter_stream(
         raise ValueError("source dimensionality does not match the spec")
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    schedule = _ratio_schedule(spec, rng)
-    return _draw_batches(source, spec, schedule, rng)
+    counts = largest_remainder_counts(_ratio_schedule(spec, rng), spec.batch_size)
+    # gathered rows are cast to float64 either way; the generator keeps
+    # this copy, not the source
+    pooled = np.concatenate(source.examples, axis=0, dtype=np.float64)
+    ends = np.cumsum([store.shape[0] for store in source.examples]).tolist()
+    return _draw_batches(pooled, list(zip([0] + ends, ends)), spec, counts, rng)
 
 
 def _draw_batches(
-    source: LabeledSource, spec: StreamSpec, schedule: np.ndarray, rng: np.random.Generator
+    pooled: np.ndarray,
+    class_rows: list[tuple[int, int]],
+    spec: StreamSpec,
+    counts: np.ndarray,
+    rng: np.random.Generator,
 ) -> Iterator[DataBatch]:
-    # gathered rows are cast to float64 either way; a float64 store is not copied
-    stores = [np.asarray(store, dtype=np.float64) for store in source.examples]
     eye = np.eye(spec.classes)
-    stacked = np.empty((spec.batch_size, spec.dims))
-    noise = np.empty_like(stacked)
-    mask = np.empty(stacked.shape, dtype=bool)
-    flat_stacked, flat_noise, flat_mask = stacked.reshape(-1), noise.reshape(-1), mask.reshape(-1)
-    for t in range(spec.batches):
-        counts = largest_remainder_counts(schedule[t], spec.batch_size)
-        start = 0
-        for k, c in enumerate(counts):
-            if c == 0:
-                continue
-            rows = slice(start, start + c)
-            start += c
-            store = stores[k]
-            # indices are drawn in range, so "clip" never clips; it spares the
-            # buffered copy that take makes into ``out`` under "raise"
-            np.take(store, rng.integers(0, store.shape[0], size=c), axis=0, out=stacked[rows], mode="clip")
-            if spec.mask_noise > 0:
-                # the mask is read off the first draw before the second overwrites it
-                rng.random(out=noise[rows])
-                np.less(noise[rows], spec.mask_noise, out=mask[rows])
-                rng.random(out=noise[rows])
-        if spec.mask_noise > 0:
-            # the class blocks cover every row once, and the select draws
-            # nothing, so it runs once over the whole batch: a block of
-            # elements at a time, which bounds the index temporaries
-            for lo in range(0, flat_stacked.size, SELECT_BLOCK_ELEMENTS):
-                hit = np.flatnonzero(flat_mask[lo : lo + SELECT_BLOCK_ELEMENTS])
-                hit += lo
-                flat_stacked[hit] = flat_noise[hit]
-        perm = rng.permutation(spec.batch_size)
-        classes_of_rows = np.repeat(np.arange(spec.classes), counts)
-        yield DataBatch(seq_id=t, inputs=stacked[perm], labels=eye[classes_of_rows[perm]])
+    for t, batch_counts in enumerate(counts):
+        # drawn in a call of its own, so nothing of a batch outlives its draw here
+        yield _draw_batch(t, pooled, class_rows, spec, batch_counts, eye, rng)
+
+
+def _draw_batch(
+    seq_id: int,
+    pooled: np.ndarray,
+    class_rows: list[tuple[int, int]],
+    spec: StreamSpec,
+    counts: np.ndarray,
+    eye: np.ndarray,
+    rng: np.random.Generator,
+) -> DataBatch:
+    """One batch, with the reference's draws in its order: per class block,
+    the rows, then (with mask noise) the mask uniforms and the value
+    uniforms; then the permutation."""
+    dims, size = spec.dims, spec.batch_size * spec.dims
+    rows = np.empty(spec.batch_size, dtype=np.intp)
+    if spec.mask_noise > 0:
+        mask = np.empty(size, dtype=bool)
+        block = np.empty(min(SELECT_BLOCK_ELEMENTS, size))
+        window = np.empty_like(block)
+        filled = 0
+        hits = []  # (flat positions, noise values) of the unpermuted batch
+    start = 0
+    for (first, stop), c in zip(class_rows, counts.tolist()):
+        if c == 0:
+            continue
+        # the same numbers as integers(0, stop - first), plus the class's
+        # first row, and the generator left in the same state
+        rows[start : start + c] = rng.integers(first, stop, size=c)
+        lo, hi = start * dims, (start + c) * dims
+        start += c
+        if spec.mask_noise == 0:
+            continue
+        # the block's mask is read off the first draw before the second one
+        for a in range(lo, hi, block.size):
+            u = block[: min(block.size, hi - a)]
+            rng.random(out=u)
+            np.less(u, spec.mask_noise, out=mask[a : a + u.size])
+        # the values fill the window across class blocks; a full window, and
+        # the last one, keep their hits
+        a = lo
+        while a < hi:
+            n = min(window.size - filled, hi - a)
+            rng.random(out=window[filled : filled + n])
+            filled += n
+            a += n
+            if filled == window.size or a == size:
+                hit = np.flatnonzero(mask[a - filled : a])
+                hits.append((hit + (a - filled), window[hit]))
+                filled = 0
+    perm = rng.permutation(spec.batch_size)
+    inputs = np.take(pooled, rows[perm], axis=0)
+    if spec.mask_noise > 0:
+        # unpermuted row r is row where[r] of the batch
+        where = np.empty_like(perm)
+        where[perm] = np.arange(spec.batch_size)
+        flat = inputs.reshape(-1)
+        while hits:
+            pos, values = hits.pop()
+            r = pos // dims
+            dest = where[r]
+            dest -= r
+            dest *= dims
+            dest += pos
+            flat[dest] = values
+    classes_of_rows = np.repeat(np.arange(spec.classes), counts)
+    return DataBatch(seq_id=seq_id, inputs=inputs, labels=eye[classes_of_rows[perm]])
 
 
 def build_stream(

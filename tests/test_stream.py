@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,23 @@ class TestLargestRemainder:
     def test_uniform_four_class_batch(self):
         counts = largest_remainder_counts(np.full(4, 0.25), 1000)
         assert list(counts) == [250, 250, 250, 250]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # small integer weights give rows whose remainders tie
+        weights=st.integers(1, 6).flatmap(
+            lambda k: st.lists(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any), min_size=1, max_size=8)
+        ),
+        total=st.integers(0, 300),
+    )
+    def test_a_schedule_equals_its_rows_one_by_one(self, weights, total):
+        w = np.asarray(weights, dtype=np.float64)
+        schedule = w / w.sum(axis=1, keepdims=True)
+        got = largest_remainder_counts(schedule, total)
+        assert got.shape == schedule.shape
+        for ratios, counts in zip(schedule, got):
+            assert list(counts) == list(largest_remainder_counts(ratios, total))
+            assert list(counts) == remainder_oracle(list(ratios), total)
 
 
 class TestBuildStream:
@@ -261,21 +279,60 @@ class TestIterStream:
         source = LabeledSource([store_rng.random((n, spec.dims)).astype(dtype) for n in (40, 7, 25)])
         assert_equals_the_reference(source, spec, materialise=False)
 
+    @pytest.mark.parametrize("mask_noise", [0.2, 0.0])
+    def test_class_blocks_over_several_uniform_blocks_equal_the_reference(self, mask_noise):
+        # each class block spans more than one uniform block, the value window
+        # fills several times across class boundaries; without mask noise
+        # there is no window at all
+        spec = StreamSpec(classes=2, dims=784, batch_size=300, batches=3, mask_noise=mask_noise, seed=23)
+        elements = spec.batch_size * spec.dims
+        assert elements // spec.classes > SELECT_BLOCK_ELEMENTS and elements > 3 * SELECT_BLOCK_ELEMENTS
+        store_rng = np.random.default_rng(spec.seed)
+        source = LabeledSource([store_rng.random((n, spec.dims)) for n in (30, 11)])
+        assert_equals_the_reference(source, spec, materialise=False)
+
     @settings(max_examples=50, deadline=None)
     @given(case=stream_cases())
     def test_batches_share_no_memory(self, case):
         source, spec = case
         batches = iter_stream(source, spec, np.random.default_rng(spec.seed))
-        kept = []
+        kept, unwritten = [], {}
         for batch in batches:
             arrays = (batch.inputs, batch.labels)
-            # the generator's own arrays: the scratch buffers among them
-            scratch = [v for v in batches.gi_frame.f_locals.values() if isinstance(v, np.ndarray)]
-            assert any(v.shape == (spec.batch_size, spec.dims) for v in scratch)
+            # the generator's own arrays, besides the batch it yielded
+            held = [v for v in batches.gi_frame.f_locals.values() if isinstance(v, np.ndarray)]
+            scratch = [v for v in held if v is not batch.inputs and v is not batch.labels]
+            # every batch-shaped array it holds is this batch's own inputs, or
+            # a stream-long one of that shape by chance (the pooled store, the
+            # label eye), which no draw writes
+            for v in scratch:
+                if v.shape == (spec.batch_size, spec.dims):
+                    assert unwritten.setdefault(id(v), v.tobytes()) == v.tobytes()
             for x in arrays:
                 assert not any(np.shares_memory(x, v) for v in scratch)
                 assert not any(np.shares_memory(x, y) for y in kept)
             kept.extend(arrays)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("mask_noise", [0.2, 1.0])
+    def test_no_batch_sized_scratch_outlives_a_draw(self, dtype, mask_noise):
+        spec = StreamSpec(classes=3, dims=784, batch_size=1000, batches=3, mask_noise=mask_noise, seed=25)
+        store_rng = np.random.default_rng(spec.seed)
+        source = LabeledSource([store_rng.random((n, spec.dims)).astype(dtype) for n in (60, 20, 40)])
+        store_bytes = 120 * spec.dims * 8  # the generator's float64 copy of the stores
+        batch_bytes = spec.batch_size * spec.dims * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batches = iter_stream(source, spec, np.random.default_rng(spec.seed))
+            for _ in range(spec.batches):
+                batch = next(batches)
+                assert batch.inputs.nbytes == batch_bytes
+                del batch
+                held = tracemalloc.get_traced_memory()[0] - before - store_bytes
+                assert held <= batch_bytes / 4
+        finally:
+            tracemalloc.stop()
 
     def test_checks_and_schedule_run_when_called(self):
         source = synth_dataset(3, 6, 30, np.random.default_rng(10))
