@@ -104,16 +104,6 @@ class RunResult:
     trace_path: str | None
 
 
-def _check_evaluation(index: int, l_gen: float, l_cls: float, read_out_finite: bool) -> None:
-    # a NaN confined to the read-out leaves both losses finite: argmax of a
-    # NaN row still names a class
-    if not (math.isfinite(l_gen) and math.isfinite(l_cls) and read_out_finite):
-        raise NumericalBreakdown(
-            f"batch {index}: pre-training evaluation is not finite "
-            f"(l_gen={l_gen!r}, l_cls={l_cls!r}, read-out finite={read_out_finite})"
-        )
-
-
 def _mean_rec_loss(fwd: Forward) -> float:
     # runs on the loss helper, so it calls nothing the benchmark spans: its
     # tracer keeps one span stack for all threads.  The same holds for the
@@ -137,27 +127,27 @@ def _evaluate_upcoming(
 
     A ``_wide`` batch hands the sum of its ``l_gen`` to ``helper`` and
     returns it pending; until ``_resolved`` waits for it, the helper is the
-    only reader of ``fwd.rec_losses``.  Any other batch sums inline.
+    only reader of ``fwd.rec_losses``.  Any other batch sums inline.  Either
+    way ``_resolved`` checks ``l_gen``; ``l_cls`` is a fraction of a
+    non-empty batch and always finite.
     """
     fwd = forward(net, batch.inputs)
+    # a NaN confined to the read-out leaves both losses finite: argmax of a
+    # NaN row still names a class
+    if not np.isfinite(fwd.y_hat).all():
+        raise NumericalBreakdown(f"batch {index}: pre-training read-out is not finite")
     if _wide(batch):
-        l_gen = helper.submit(_mean_rec_loss, fwd)
-        l_cls = class_error(fwd.y_hat, batch.labels)
-    else:
-        l_gen, l_cls = batch_errors(net, batch, fwd)
-    read_out_finite = bool(np.isfinite(fwd.y_hat).all())
-    pending = isinstance(l_gen, Future)
-    if not (pending and math.isfinite(l_cls) and read_out_finite):
-        # a pending l_gen is checked once resolved, unless the rest fails now
-        _check_evaluation(index, l_gen.result() if pending else l_gen, l_cls, read_out_finite)
-    return fwd, (l_gen, l_cls)
+        return fwd, (helper.submit(_mean_rec_loss, fwd), class_error(fwd.y_hat, batch.labels))
+    return fwd, batch_errors(net, batch, fwd)
 
 
-def _resolved(l_gen: float | Future, l_cls: float, index: int) -> float:
-    """Batch ``index``'s ``l_gen``, waited for and checked if it is pending."""
+def _resolved(l_gen: float | Future, index: int) -> float:
+    """Batch ``index``'s ``l_gen``, waited for if it is pending, and checked:
+    the one finiteness check of ``l_gen``, on every batch size."""
     if isinstance(l_gen, Future):
         l_gen = l_gen.result()
-        _check_evaluation(index, l_gen, l_cls, True)
+    if not math.isfinite(l_gen):
+        raise NumericalBreakdown(f"batch {index}: l_gen={l_gen!r} is not finite")
     return l_gen
 
 
@@ -192,7 +182,9 @@ def _open_stream(cfg: ExperimentConfig) -> tuple[StreamSpec, Iterator[DataBatch]
 
 def prepare_data(cfg: ExperimentConfig):
     """Build the whole batch stream and the test split: the data of a run,
-    materialised."""
+    materialised.  No run calls it, since a run draws its stream while it
+    trains; it stays because the benchmark wraps it, so its
+    ``stream.prepare`` span reads 0."""
     spec, batches, test_x, test_y = _open_stream(cfg)
     return spec, list(batches), test_x, test_y
 
@@ -309,7 +301,7 @@ def _run_batches(
         t0 = time.perf_counter()
         # measured before anything trained on this batch; fwd is its forward
         # under the current parameters until a structural edit makes it stale.
-        # A pending l_gen is resolved where it is first read, and at the
+        # l_gen is resolved and checked where it is first read, and at the
         # latest once the batch has trained
         l_gen, l_cls = next_eval
         histograms.append(batch.class_histogram())
@@ -324,7 +316,7 @@ def _run_batches(
             # only radae reads the recent and diverse pools
             update_recent(pools, batch)
             update_diverse(pools, batch)
-            l_gen = _resolved(l_gen, l_cls, n)
+            l_gen = _resolved(l_gen, n)
             controller.observe(l_gen, l_cls, net.layers[0].n_hidden, kl)
             decision = controller.decide(n)
             action = decision.kind.value
@@ -340,14 +332,14 @@ def _run_batches(
             # an increment or merge sized to 0 is a no-op
             edited = decision.kind is ActionKind.POOL or delta != 0
         elif cfg.policy == "midae":
-            l_gen = _resolved(l_gen, l_cls, n)  # the step reads fwd.rec_losses
+            l_gen = _resolved(l_gen, n)  # the step reads fwd.rec_losses
             event = merge_inc_step(net, batch, pools, midae_state, train_rng, fwd)
             if event is not None:
                 # an event edits the parameters even when the width stays the same
                 action, delta, edited = "event", event.added - event.merged, True
         finetune(net, batch, cfg.nn.hybrid_weight, None if edited else fwd, helper=helper if _wide(batch) else None)
         # once resolved, before the next forward, the helper holds no x_hat
-        l_gen = _resolved(l_gen, l_cls, n)
+        l_gen = _resolved(l_gen, n)
 
         fwd = None  # stale now that the batch trained; free it before the next
         if n + 1 < spec.batches:

@@ -211,7 +211,8 @@ class DataBatch:
             raise ValueError("inputs and labels must be 2-D")
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise ValueError("inputs and labels disagree on example count")
-        if self.inputs.size and (self.inputs.min() < 0 or self.inputs.max() > 1):
+        # min and max are NaN if any input is, and NaN fails both comparisons
+        if self.inputs.size and not (self.inputs.min() >= 0 and self.inputs.max() <= 1):
             raise ValueError("inputs must lie in [0, 1]")
         row_sums = self.labels.sum(axis=1)
         if not np.all(row_sums == 1):

@@ -637,28 +637,6 @@ class TestLossHelper:
         assert started == [False] * cfg.stream.batches  # the executor starts no thread unasked
         assert handed == [None] * cfg.stream.batches  # each fine-tune runs its whole backward inline
 
-    def test_a_breakdown_seen_only_in_l_gen_names_the_batch(self, monkeypatch, tmp_path):
-        cfg = wide_config("sdae", batches=8)
-        clean = run_experiment(cfg).records
-        real_finetune = harness.finetune
-
-        def poisoning(net, batch, *args, **kwargs):
-            real_finetune(net, batch, *args, **kwargs)
-            if batch.seq_id == 3:
-                # the decoder alone: the read-out and l_cls stay finite
-                net.layers[0].b_rec[:] = np.nan
-            return net
-
-        monkeypatch.setattr(harness, "finetune", poisoning)
-        path = str(tmp_path / "trace.csv")
-        with pytest.raises(NumericalBreakdown, match=r"^batch 4: .*l_gen=nan, l_cls=\d.*read-out finite=True"):
-            run_experiment(cfg, out_path=path)
-        # batch 4's l_gen is resolved after row 3 is written, while batch 4 trains
-        written = read_trace(path)
-        assert comparable(written) == comparable(clean[:4])
-        for r in written:
-            assert all(math.isfinite(v) for v in (r.l_gen, r.l_cls, r.e_lcl, r.e_glb))
-
 
 class TestPrefetch:
     """The batches are drawn on one worker thread, as many ahead as fit in
@@ -834,64 +812,101 @@ def test_a_784_dim_run_holds_few_batch_arrays():
 
 
 class TestNumericalBreakdown:
-    """Parameters poisoned after a batch trains: the next batch's evaluation
-    stops the run, and after the last batch, with none to follow, the
-    held-out evaluation does."""
+    """Parameters poisoned after a batch trains, on desk-sized batches here
+    and on wide ones, which hand their ``l_gen`` to the loss helper, in the
+    subclass below: the same poisoning raises the same message and writes
+    the same rows on both.  A non-finite read-out stops the run at the next
+    batch's evaluation, before the poisoned batch's row; a non-finite
+    ``l_gen`` alone stops it where that batch's ``l_gen`` is resolved, after
+    the poisoned batch's row.  After the last batch, with none to follow,
+    the held-out evaluation stops it."""
 
-    @pytest.mark.parametrize(
-        "poisoned, message",
-        [(2, r"^batch 3: .*l_gen=nan"), (11, r"^batch 11: held-out read-out is not finite")],
-        ids=["upcoming", "last"],
-    )
-    def test_non_finite_evaluation_names_the_batch(self, monkeypatch, poisoned, message):
-        real_finetune = harness.finetune
+    @staticmethod
+    def config():
+        return with_pool(tiny_config(policy="sdae"))
 
-        def poisoning(net, batch, *args, **kwargs):
-            real_finetune(net, batch, *args, **kwargs)
-            if batch.seq_id == poisoned:
-                net.layers[0].W[:] = np.nan
-            return net
-
-        monkeypatch.setattr(harness, "finetune", poisoning)
-        with pytest.raises(NumericalBreakdown, match=message):
-            run_experiment(with_pool(tiny_config(policy="sdae")))
-
-    @pytest.mark.parametrize(
-        "poisoned, message",
-        [(2, r"^batch 3: .*l_gen=\d.*read-out finite=False"), (11, r"^batch 11: held-out read-out is not finite")],
-        ids=["upcoming", "last"],
-    )
-    def test_non_finite_read_out_names_the_batch(self, monkeypatch, poisoned, message):
-        real_finetune = harness.finetune
-
-        def poisoning(net, batch, *args, **kwargs):
-            real_finetune(net, batch, *args, **kwargs)
-            if batch.seq_id == poisoned:
-                net.out_W[:] = np.nan
-            return net
-
-        monkeypatch.setattr(harness, "finetune", poisoning)
-        # the encoder and decoder are still finite, so l_gen is too
-        with pytest.raises(NumericalBreakdown, match=message):
-            run_experiment(with_pool(tiny_config(policy="sdae")))
-
-    def test_a_failed_run_writes_the_rows_it_finished(self, monkeypatch, tmp_path):
-        cfg = with_pool(tiny_config(policy="sdae"))
+    def poisoned_run(self, monkeypatch, tmp_path, poisoned, poison, message):
+        """Run ``config()`` with ``poison(net)`` applied once batch
+        ``poisoned`` has trained; check that the breakdown matches
+        ``message`` and return the rows written and the clean run's rows."""
+        cfg = self.config()
+        assert cfg.stream.batches == 12
         clean = run_experiment(cfg).records
         real_finetune = harness.finetune
 
         def poisoning(net, batch, *args, **kwargs):
             real_finetune(net, batch, *args, **kwargs)
-            if batch.seq_id == 5:
-                net.layers[0].W[:] = np.nan
+            if batch.seq_id == poisoned:
+                poison(net)
             return net
 
         monkeypatch.setattr(harness, "finetune", poisoning)
         path = str(tmp_path / "trace.csv")
-        with pytest.raises(NumericalBreakdown, match=r"^batch 6: "):
+        with pytest.raises(NumericalBreakdown, match=message):
             run_experiment(cfg, out_path=path)
+        written = read_trace(path)
+        for r in written:
+            assert all(math.isfinite(v) for v in (r.l_gen, r.l_cls, r.e_lcl, r.e_glb))
+        return comparable(written), comparable(clean)
+
+    @pytest.mark.parametrize(
+        "poisoned, message, rows",
+        [
+            (2, r"^batch 3: pre-training read-out is not finite$", 2),
+            (11, r"^batch 11: held-out read-out is not finite$", 11),
+        ],
+        ids=["upcoming", "last"],
+    )
+    def test_non_finite_evaluation_names_the_batch(self, monkeypatch, tmp_path, poisoned, message, rows):
+        def encoder(net):
+            net.layers[0].W[:] = np.nan
+
+        written, clean = self.poisoned_run(monkeypatch, tmp_path, poisoned, encoder, message)
+        assert written == clean[:rows]
+
+    @pytest.mark.parametrize(
+        "poisoned, message, rows",
+        [
+            (2, r"^batch 3: pre-training read-out is not finite$", 2),
+            (11, r"^batch 11: held-out read-out is not finite$", 11),
+        ],
+        ids=["upcoming", "last"],
+    )
+    def test_non_finite_read_out_names_the_batch(self, monkeypatch, tmp_path, poisoned, message, rows):
+        def read_out(net):
+            # the encoder and decoder are still finite, so l_gen is too
+            net.out_W[:] = np.nan
+
+        written, clean = self.poisoned_run(monkeypatch, tmp_path, poisoned, read_out, message)
+        assert written == clean[:rows]
+
+    def test_a_breakdown_seen_only_in_l_gen_names_the_batch(self, monkeypatch, tmp_path):
+        def decoder(net):
+            # the decoder alone: the read-out and l_cls stay finite
+            net.layers[0].b_rec[:] = np.nan
+
+        written, clean = self.poisoned_run(monkeypatch, tmp_path, 3, decoder, r"^batch 4: l_gen=nan is not finite$")
+        # batch 4's l_gen is resolved after row 3 is written, while batch 4 trains
+        assert written == clean[:4]
+
+    def test_a_failed_run_writes_the_rows_it_finished(self, monkeypatch, tmp_path):
+        def encoder(net):
+            net.layers[0].W[:] = np.nan
+
+        written, clean = self.poisoned_run(monkeypatch, tmp_path, 5, encoder, r"^batch 6: ")
         # batch 6's evaluation stops the run before batch 5's row is done
-        assert [replace(r, wall_ms=0.0) for r in read_trace(path)] == [replace(r, wall_ms=0.0) for r in clean[:5]]
+        assert written == clean[:5]
+
+
+class TestNumericalBreakdownWide(TestNumericalBreakdown):
+    """The same poisonings on batches of 84 x 784, above
+    ``network.CE_BLOCK_ELEMENTS``: same messages, same rows."""
+
+    @staticmethod
+    def config():
+        cfg = wide_config("sdae", batches=12)
+        assert cfg.stream.batch_size * cfg.stream.dims > network.CE_BLOCK_ELEMENTS
+        return cfg
 
 
 def check_eval_precedes_training(events):

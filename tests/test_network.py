@@ -608,6 +608,13 @@ class TestDataBatch:
         with pytest.raises(ValueError):
             batch.validate()
 
+    def test_rejects_nan_inputs(self, rng):
+        inputs = rng.random((4, 4))
+        inputs[2, 1] = np.nan
+        batch = DataBatch(seq_id=0, inputs=inputs, labels=np.eye(3)[[0, 1, 2, 0]])
+        with pytest.raises(ValueError, match=r"inputs must lie in \[0, 1\]"):
+            batch.validate()
+
 
 # The plain expressions the in-place kernels replaced, kept as bit-exact
 # references: every loss and gradient must keep its bytes.  The gradients

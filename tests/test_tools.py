@@ -56,16 +56,35 @@ def test_claims_report_shape_on_two_seeds(claims, capsys):
     rows = report["seeds"]
     assert [row["seed"] for row in rows] == [1, 2]
     for row in rows:
-        assert set(row) == {"seed", "e_glb_mean", "switch_increments", "stationary_increments"}
-        assert set(row["e_glb_mean"]) == {"sdae", "midae", "radae"}
-        assert all(0.0 <= e <= 1.0 for e in row["e_glb_mean"].values())
+        assert set(row) == {
+            "seed",
+            "e_glb_mean",
+            "switch_increments",
+            "stationary_increments",
+            "stationary_e_glb_mean",
+        }
+        for errors in (row["e_glb_mean"], row["stationary_e_glb_mean"]):
+            assert set(errors) == {"sdae", "midae", "radae"}
+            assert all(0.0 <= e <= 1.0 for e in errors.values())
         assert 0 <= row["stationary_increments"] <= 20 and 0 <= row["switch_increments"] <= 20
     summary = report["summary"]
     assert summary == claims.summarise(rows)
-    for key in ("radae_below_sdae", "radae_at_or_below_midae", "midae_above_sdae", "responders"):
-        assert summary[key] in (0, 1, 2)
-    for key in ("radae_minus_sdae", "radae_minus_midae", "midae_minus_sdae"):
-        assert set(summary[key]) == {"mean", "se"} and summary[key]["se"] >= 0.0
+    stationary = summary["stationary_e_glb"]
+    counts = ("radae_below_sdae", "radae_at_or_below_midae", "midae_above_sdae")
+    differences = ("radae_minus_sdae", "radae_minus_midae", "midae_minus_sdae")
+    assert set(stationary) == {*counts, *differences}
+    for part in (summary, stationary):
+        for key in counts:
+            assert part[key] in (0, 1, 2)
+        for key in differences:
+            assert set(part[key]) == {"mean", "se"} and part[key]["se"] >= 0.0
+    assert summary["responders"] in (0, 1, 2)
+    # the stationary summary is read from the stationary rows, which come
+    # from runs of their own
+    flat = [row["stationary_e_glb_mean"] for row in rows]
+    assert all(row["stationary_e_glb_mean"] != row["e_glb_mean"] for row in rows)
+    assert stationary["radae_below_sdae"] == sum(e["radae"] < e["sdae"] for e in flat)
+    assert math.isclose(stationary["radae_minus_sdae"]["mean"], sum(e["radae"] - e["sdae"] for e in flat) / 2)
     assert len(summary["gate_chance"]) == 3
     assert all(0.0 <= p <= 1.0 for p in summary["gate_chance"].values())
 
