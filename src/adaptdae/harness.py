@@ -8,11 +8,10 @@ pre-trained, unsupervised, on their inputs before batch 0, so they are
 evaluated after that.  The global error is measured on a class-balanced
 held-out split after every batch.  Runs with the same seed share the
 stream and the initial network across policies.  One worker thread draws
-the batches, up to ``PREFETCH_BYTES`` ahead, while the loop trains.  On
-wide batches, of more than ``CE_BLOCK_ELEMENTS`` elements, a second one,
-the loss helper, sums the upcoming batch's reconstruction loss and runs
-the label half of each fine-tune's backward while the loop's thread runs
-the reconstruction half.  The loop's thread runs everything else.
+the batches, up to ``PREFETCH_BYTES`` ahead, while the loop trains; on
+``_wide`` batches it also sums the upcoming batch's reconstruction loss
+and runs the label half of each fine-tune's backward, each job in the
+order it was submitted.  The loop's thread runs everything else.
 """
 
 from __future__ import annotations
@@ -105,28 +104,33 @@ class RunResult:
 
 
 def _mean_rec_loss(fwd: Forward) -> float:
-    # runs on the loss helper, so it calls nothing the benchmark spans: its
+    # runs on the run's worker, so it calls nothing the benchmark spans: its
     # tracer keeps one span stack for all threads.  The same holds for the
-    # label backward that finetune hands the helper
+    # label backward that finetune hands the worker
     return float(fwd.rec_losses.mean())
 
 
 def _wide(batch: DataBatch) -> bool:
-    """Whether ``batch`` hands work to the loss helper: its ``l_gen`` sum
-    and its fine-tune's label backward.  Each hand-off, made on every
-    batch, cost radae-desk and midae-switch 5-8% of their examples per
-    second (see ``network.CE_BLOCK_ELEMENTS``)."""
+    """Whether ``batch`` hands the run's worker its ``l_gen`` sum and its
+    fine-tune's label backward.  Measured with a thread of their own, the
+    sum's hand-off on every batch cost radae-desk and midae-switch 5.1% and
+    8.0% of their examples per second, the label backward's 5.6% and 5.0%
+    (10 of 10 pairs lost each); at 784 dims the sum's saved sdae 3-12% per
+    batch from 8 rows up and cost radae at most 0.5% (BENCH_25.json
+    "gate_removed", "gate_size_sweep"), and the label backward's cost 2-13%
+    below 42 rows and saved sdae 3-8% and radae 1.5-3.4% from 84 rows up
+    (BENCH_26.json "*_label_backward_ungated", "label_backward_gate_size_sweep")."""
     return batch.inputs.size > CE_BLOCK_ELEMENTS
 
 
 def _evaluate_upcoming(
-    net: Network, batch: DataBatch, index: int, helper: ThreadPoolExecutor
+    net: Network, batch: DataBatch, index: int, worker: ThreadPoolExecutor
 ) -> tuple[Forward, tuple[float | Future, float]]:
     """Forward batch ``index`` before anything trains on it and measure its
     losses; the forward serves its training while the parameters stay.
 
-    A ``_wide`` batch hands the sum of its ``l_gen`` to ``helper`` and
-    returns it pending; until ``_resolved`` waits for it, the helper is the
+    A ``_wide`` batch hands the sum of its ``l_gen`` to ``worker`` and
+    returns it pending; until ``_resolved`` waits for it, the worker is the
     only reader of ``fwd.rec_losses``.  Any other batch sums inline.  Either
     way ``_resolved`` checks ``l_gen``; ``l_cls`` is a fraction of a
     non-empty batch and always finite.
@@ -137,7 +141,7 @@ def _evaluate_upcoming(
     if not np.isfinite(fwd.y_hat).all():
         raise NumericalBreakdown(f"batch {index}: pre-training read-out is not finite")
     if _wide(batch):
-        return fwd, (helper.submit(_mean_rec_loss, fwd), class_error(fwd.y_hat, batch.labels))
+        return fwd, (worker.submit(_mean_rec_loss, fwd), class_error(fwd.y_hat, batch.labels))
     return fwd, batch_errors(net, batch, fwd)
 
 
@@ -221,29 +225,25 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
     # every batch holds float64 inputs and one-hot float64 labels
     batch_bytes = spec.batch_size * (spec.dims + spec.classes) * 8
     depth = max(1, PREFETCH_BYTES // batch_bytes)
-    # one worker draws the batches in order, depth ahead: a stream that fits
-    # is drawn whole here, in set-up, and a longer one while the loop trains.
-    # The helper takes wide batches' l_gen sums and label backwards and
-    # starts its thread on the first submit.  Leaving the block joins both
-    # however the run ends.
-    with (
-        ThreadPoolExecutor(1, thread_name_prefix="adaptdae-stream") as pool,
-        ThreadPoolExecutor(1, thread_name_prefix="adaptdae-loss") as helper,
-    ):
-        ahead = deque(pool.submit(next, batches) for _ in range(min(depth, spec.batches)))
+    # the one worker draws the batches in order, depth ahead: a stream that
+    # fits is drawn whole here, in set-up, and a longer one while the loop
+    # trains.  Between draws it takes wide batches' l_gen sums and label
+    # backwards.  Leaving the block joins it however the run ends.
+    with ThreadPoolExecutor(1, thread_name_prefix="adaptdae-worker") as worker:
+        ahead = deque(worker.submit(next, batches) for _ in range(min(depth, spec.batches)))
         wait(ahead)
 
         def in_order() -> Iterator[DataBatch]:
             for n in range(spec.batches):
                 batch = ahead.popleft().result()  # raises an error met while drawing, with its type
                 if n + depth < spec.batches:
-                    ahead.append(pool.submit(next, batches))
+                    ahead.append(worker.submit(next, batches))
                 yield batch
 
         records: list[TraceRecord] = []
         path = cfg.out if out_path is None else out_path
         try:
-            for record in _run_batches(cfg, spec, in_order(), test_x, test_y, helper):
+            for record in _run_batches(cfg, spec, in_order(), test_x, test_y, worker):
                 records.append(record)
         finally:
             if path:
@@ -257,12 +257,11 @@ def _run_batches(
     batches: Iterator[DataBatch],
     test_x: np.ndarray,
     test_y: np.ndarray,
-    helper: ThreadPoolExecutor,
+    worker: ThreadPoolExecutor,
 ) -> Iterator[TraceRecord]:
     """Build the network and the policy, then pass over the batches once,
     taking each batch one ahead of its training; yield each batch's row.
-    ``helper`` sums the ``l_gen`` of the batches that ``_evaluate_upcoming``
-    hands it and runs the label backward of their fine-tunes."""
+    ``worker`` takes the jobs of ``_wide`` batches."""
     init_rng = np.random.default_rng([cfg.seed, 1])
     train_rng = np.random.default_rng([cfg.seed, 2])
     ctrl_rng = np.random.default_rng([cfg.seed, 3])
@@ -295,7 +294,7 @@ def _run_batches(
     # the newest label histogram and the ema_window ones before it
     histograms: deque[np.ndarray] = deque(maxlen=cfg.rl.ema_window + 1)
     batch = next(batches)
-    fwd, next_eval = _evaluate_upcoming(net, batch, 0, helper)
+    fwd, next_eval = _evaluate_upcoming(net, batch, 0, worker)
 
     for n in range(spec.batches):
         t0 = time.perf_counter()
@@ -337,8 +336,8 @@ def _run_batches(
             if event is not None:
                 # an event edits the parameters even when the width stays the same
                 action, delta, edited = "event", event.added - event.merged, True
-        finetune(net, batch, cfg.nn.hybrid_weight, None if edited else fwd, helper=helper if _wide(batch) else None)
-        # once resolved, before the next forward, the helper holds no x_hat
+        finetune(net, batch, cfg.nn.hybrid_weight, None if edited else fwd, helper=worker if _wide(batch) else None)
+        # once resolved, before the next forward, the worker holds no x_hat
         l_gen = _resolved(l_gen, n)
 
         fwd = None  # stale now that the batch trained; free it before the next
@@ -350,7 +349,7 @@ def _run_batches(
             # every batch trained on so far was drawn before this one, and the
             # stream draws in increasing seq_id order
             assert batch.seq_id > trained_id, "evaluation must precede training"
-            fwd, next_eval = _evaluate_upcoming(net, batch, n + 1, helper)
+            fwd, next_eval = _evaluate_upcoming(net, batch, n + 1, worker)
             e_lcl = next_eval[1]
         else:
             e_lcl = None

@@ -20,18 +20,8 @@ PROB_EPS = 1e-7
 # cross_entropy takes its temporaries this many elements at a time: 83 rows
 # of 784, a quarter of a 1000 x 784 array.  Of 2^14 to 2^18, at 1000 x 784,
 # 2^14 ran slowest and 2^16 up no slower than one whole pass (BENCH_24.json).
-# It also sets where harness's loss helper starts (harness._wide): a batch of
-# more elements hands that thread two jobs, the sum of its l_gen and the
-# label half of its fine-tune's backward.  With every batch's sum submitted,
-# radae-desk and midae-switch (16 x 100 batches) ran 5.1% and 8.0% fewer
-# examples per second, losing 10 of 10 pairs each.  At 784 dims, from 8 rows
-# up, the sum's hand-off saved sdae 3-12% per batch and cost radae at most
-# 0.5% (BENCH_25.json "gate_removed", "gate_size_sweep").  With every
-# batch's label backward submitted, they ran 5.6% and 5.0% fewer, losing 10
-# of 10 pairs each; at 784 dims that hand-off cost 2-13% below 42 rows and
-# saved sdae 3-8% and radae 1.5-3.4% from 84 rows up (BENCH_26.json
-# "*_label_backward_ungated", "label_backward_gate_size_sweep").  A retune
-# of the block moves both.
+# harness._wide reads it too, as the size above which a batch hands work to
+# the run's worker, so a retune of the block moves that gate.
 CE_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -211,12 +201,17 @@ class DataBatch:
             raise ValueError("inputs and labels must be 2-D")
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise ValueError("inputs and labels disagree on example count")
-        # min and max are NaN if any input is, and NaN fails both comparisons
-        if self.inputs.size and not (self.inputs.min() >= 0 and self.inputs.max() <= 1):
+        if not in_unit_interval(self.inputs):
             raise ValueError("inputs must lie in [0, 1]")
-        row_sums = self.labels.sum(axis=1)
-        if not np.all(row_sums == 1):
+        ones = self.labels == 1
+        if not (np.all(ones | (self.labels == 0)) and np.all(ones.sum(axis=1) == 1)):
             raise ValueError("label rows must be one-hot")
+
+
+def in_unit_interval(values: np.ndarray) -> bool:
+    """Whether every one of ``values`` lies in [0, 1]: min and max are NaN
+    if any value is, and NaN fails both comparisons."""
+    return not values.size or bool(values.min() >= 0 and values.max() <= 1)
 
 
 def glorot_limit(n_in: int, n_out: int) -> float:

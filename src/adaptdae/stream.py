@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gp
-from .network import DataBatch
+from .network import DataBatch, in_unit_interval
 from .ranges import out_of_range, within
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -71,6 +71,8 @@ class LabeledSource:
                 raise ValueError(f"class {k} has no examples")
             if arr.shape[1] != self.dims:
                 raise ValueError("classes disagree on dimensionality")
+            if not in_unit_interval(arr):
+                raise ValueError(f"class {k} holds values outside [0, 1]")
 
 
 def held_out_count(fraction: float, n: int) -> int:

@@ -541,14 +541,9 @@ class LiveBatches:
             self.live -= 1
 
 
-def producer_threads():
-    # the executor names its worker adaptdae-stream_0
-    return [t for t in threading.enumerate() if t.name.startswith("adaptdae-stream")]
-
-
-def loss_threads():
-    # the loss helper's worker is adaptdae-loss_0
-    return [t for t in threading.enumerate() if t.name.startswith("adaptdae-loss")]
+def worker_threads():
+    # the run's one executor names its worker adaptdae-worker_0
+    return [t for t in threading.enumerate() if t.name.startswith("adaptdae-worker")]
 
 
 def wide_config(policy="sdae", batches=10, rows=84):
@@ -560,27 +555,38 @@ def wide_config(policy="sdae", batches=10, rows=84):
     return cfg
 
 
+LOSS_JOBS = ("_mean_rec_loss", "_encoder_backward")
+
+
 class LossHelper:
-    """Wraps ``harness.ThreadPoolExecutor``: counts the submits to the loss
-    helper by the name of the callable and, while ``inline`` is set, runs
-    each at once on the caller's thread, as the value was computed before
-    the helper existed."""
+    """Wraps ``harness.ThreadPoolExecutor``: notes each executor's worker
+    count, counts the loss jobs submitted to it by the name of the callable
+    and, while ``inline`` is set, runs each of them at once on the caller's
+    thread, as the value was computed before the worker took them.  The
+    stream's draws, ``next``, are counted apart and go to the worker as
+    they are."""
 
     def __init__(self, monkeypatch):
+        self.workers = []
         self.submits = Counter()
+        self.draws = 0
         self.inline = False
         real = harness.ThreadPoolExecutor
 
         def executor(workers, thread_name_prefix):
+            self.workers.append(workers)
             pool = real(workers, thread_name_prefix=thread_name_prefix)
-            if thread_name_prefix == "adaptdae-loss":
-                pool.submit = self._submitter(pool.submit)
+            pool.submit = self._submitter(pool.submit)
             return pool
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", executor)
 
     def _submitter(self, submit):
         def counted(fn, *args):
+            if fn.__name__ not in LOSS_JOBS:
+                assert fn is next
+                self.draws += 1
+                return submit(fn, *args)
             self.submits[fn.__name__] += 1
             if not self.inline:
                 return submit(fn, *args)
@@ -593,8 +599,9 @@ class LossHelper:
 
 class TestLossHelper:
     """On a batch of more than ``CE_BLOCK_ELEMENTS`` elements the upcoming
-    batch's ``l_gen`` is summed on a second worker while the loop goes on,
-    and resolved where it is first read, by the fine-tune at the latest."""
+    batch's ``l_gen`` is summed on the run's worker, the one that draws the
+    stream, while the loop goes on, and resolved where it is first read, by
+    the fine-tune at the latest."""
 
     @pytest.mark.parametrize("policy", ["sdae", "midae", "radae"])
     def test_the_helper_changes_no_trace(self, monkeypatch, policy):
@@ -609,6 +616,8 @@ class TestLossHelper:
         # one l_gen sum and one label backward per batch
         per_run = Counter({"_mean_rec_loss": cfg.stream.batches, "_encoder_backward": cfg.stream.batches})
         assert helper.submits == per_run
+        assert helper.workers == [1]  # one executor of one worker, which also drew the stream
+        assert helper.draws == cfg.stream.batches
         helper.inline = True
         inline = run_experiment(cfg)
         # above every batch's size, the gate sends nothing to the helper:
@@ -623,19 +632,47 @@ class TestLossHelper:
     @pytest.mark.parametrize("cfg", one_of_each_policy(), ids=["sdae", "midae", "radae"])
     def test_a_desk_sized_run_submits_nothing(self, monkeypatch, cfg):
         helper = LossHelper(monkeypatch)
-        started, handed = [], []
+        handed = []
         real_finetune = harness.finetune
 
         def spying(net, batch, *args, **kwargs):
-            started.append(bool(loss_threads()))
             handed.append(kwargs["helper"])
             return real_finetune(net, batch, *args, **kwargs)
 
         monkeypatch.setattr(harness, "finetune", spying)
         run_experiment(cfg)
+        # the wrapped executor drew every batch, and took no loss job
+        assert helper.workers == [1] and helper.draws == cfg.stream.batches
         assert helper.submits == {}
-        assert started == [False] * cfg.stream.batches  # the executor starts no thread unasked
         assert handed == [None] * cfg.stream.batches  # each fine-tune runs its whole backward inline
+
+    @pytest.mark.parametrize("policy", ["sdae", "radae"])
+    def test_a_wide_fine_tune_sees_one_worker_the_one_that_runs_its_label_backward(self, monkeypatch, policy):
+        cfg = wide_config(policy)
+        before = set(threading.enumerate())
+        real_finetune, real_backward = harness.finetune, network._encoder_backward
+        alive, backward_threads = [], set()
+
+        def spying(net, batch, *args, **kwargs):
+            assert kwargs["helper"] is not None  # every batch is wide
+            alive.append([t for t in threading.enumerate() if t not in before])
+            return real_finetune(net, batch, *args, **kwargs)
+
+        def noting(*args):
+            backward_threads.add(threading.current_thread())
+            return real_backward(*args)
+
+        monkeypatch.setattr(harness, "finetune", spying)
+        monkeypatch.setattr(network, "_encoder_backward", noting)
+        run_experiment(cfg)
+        assert len(alive) == cfg.stream.batches
+        # no thread but the run's one worker was started, and it ran every
+        # label backward that did not run on the loop's thread (radae's pool
+        # fine-tunes and increments run theirs inline)
+        (worker,) = alive[0]
+        assert all(threads == [worker] for threads in alive)
+        assert backward_threads - {threading.current_thread()} == {worker}
+        assert not worker.is_alive()
 
 
 class TestPrefetch:
@@ -689,7 +726,7 @@ class TestPrefetch:
         monkeypatch.setattr(harness, "PREFETCH_BYTES", one_batch_bytes(cfg))
         before = threading.active_count()
         run_experiment(cfg)
-        assert producer_threads() == []
+        assert worker_threads() == []
         assert threading.active_count() == before
 
     @pytest.mark.parametrize(
@@ -710,7 +747,7 @@ class TestPrefetch:
 
         def failing(net, batch, *args, **kwargs):
             if batch.seq_id == failing_at:
-                producing.append(bool(producer_threads()))
+                producing.append(bool(worker_threads()))
                 raise error("step failed")
             return real_finetune(net, batch, *args, **kwargs)
 
@@ -719,7 +756,7 @@ class TestPrefetch:
             run_experiment(cfg)
         assert producing == [True]  # the producer was still drawing
         assert threading.active_count() == before
-        assert producer_threads() == []
+        assert worker_threads() == []
 
     def test_an_error_while_drawing_reaches_the_caller_with_its_type(self, monkeypatch):
         class DrawError(Exception):
@@ -753,7 +790,7 @@ class TestPrefetch:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("ending", ["finished", "draw-error", "breakdown"])
-    def test_a_wide_run_joins_both_workers(self, monkeypatch, ending):
+    def test_a_wide_run_joins_its_worker(self, monkeypatch, ending):
         class DrawError(Exception):
             pass
 
@@ -768,7 +805,7 @@ class TestPrefetch:
         helping = []
 
         def spying(net, batch, *args, **kwargs):
-            helping.append(bool(loss_threads()) and bool(producer_threads()))
+            helping.append(len(worker_threads()) == 1)
             real_finetune(net, batch, *args, **kwargs)
             if ending == "breakdown" and batch.seq_id == 5:
                 net.layers[0].b_rec[:] = np.nan
@@ -784,10 +821,10 @@ class TestPrefetch:
             error, message = (DrawError, "no batch 6") if ending == "draw-error" else (NumericalBreakdown, "^batch 6: ")
             with pytest.raises(error, match=message):
                 run_experiment(cfg)
-        # both workers ran while the loop trained, and are joined now
+        # the one worker ran while the loop trained, and is joined now
         assert helping and all(helping)
         assert threading.active_count() == before
-        assert producer_threads() == [] and loss_threads() == []
+        assert worker_threads() == []
 
 
 def test_a_784_dim_run_holds_few_batch_arrays():
@@ -813,7 +850,7 @@ def test_a_784_dim_run_holds_few_batch_arrays():
 
 class TestNumericalBreakdown:
     """Parameters poisoned after a batch trains, on desk-sized batches here
-    and on wide ones, which hand their ``l_gen`` to the loss helper, in the
+    and on wide ones, which hand their ``l_gen`` to the run's worker, in the
     subclass below: the same poisoning raises the same message and writes
     the same rows on both.  A non-finite read-out stops the run at the next
     batch's evaluation, before the poisoned batch's row; a non-finite

@@ -601,6 +601,14 @@ class TestDataBatch:
         with pytest.raises(ValueError):
             batch.validate()
 
+    @pytest.mark.parametrize("row", [[0.5, 0.5, 0.0], [2.0, -1.0, 0.0]], ids=["halves", "two-minus-one"])
+    def test_rejects_a_row_that_sums_to_one_but_is_not_one_hot(self, rng, row):
+        labels = np.eye(3)[[0, 1, 2, 0]]
+        labels[2] = row
+        batch = DataBatch(seq_id=0, inputs=rng.random((4, 4)), labels=labels)
+        with pytest.raises(ValueError, match="label rows must be one-hot"):
+            batch.validate()
+
     def test_rejects_out_of_range_inputs(self, rng):
         batch = DataBatch(
             seq_id=0, inputs=rng.random((4, 4)) + 1.0, labels=np.eye(3)[[0, 1, 2, 0]]

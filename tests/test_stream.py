@@ -183,6 +183,22 @@ class TestBuildStream:
         assert early[0] == pytest.approx(0.9, abs=1e-12)
         assert late[1] + late[2] == pytest.approx(0.9, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [2.0, np.nan, -0.5])
+    def test_a_store_value_outside_the_unit_interval_is_rejected(self, bad):
+        # a stream of such a source yields batches that DataBatch.validate
+        # rejects, so the source is rejected first
+        rng = np.random.default_rng(11)
+        source = synth_dataset(3, 6, 30, rng)
+        source.examples[1][4] = bad
+        spec = StreamSpec(classes=3, dims=6, batch_size=40, batches=2)
+        for check in (source.validate, lambda: iter_stream(source, spec, rng), lambda: build_stream(source, spec, rng)):
+            with pytest.raises(ValueError, match=r"^class 1 holds values outside \[0, 1\]$"):
+                check()
+        source.examples[1][4] = 1.0  # either bound itself is in range
+        source.examples[1][5] = 0.0
+        for batch in build_stream(source, spec, rng):
+            batch.validate()
+
     def test_source_mismatch_rejected(self):
         rng = np.random.default_rng(10)
         source = synth_dataset(3, 6, 30, rng)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -62,11 +63,25 @@ def test_claims_report_shape_on_two_seeds(claims, capsys):
             "switch_increments",
             "stationary_increments",
             "stationary_e_glb_mean",
+            "switch_window",
         }
         for errors in (row["e_glb_mean"], row["stationary_e_glb_mean"]):
             assert set(errors) == {"sdae", "midae", "radae"}
             assert all(0.0 <= e <= 1.0 for e in errors.values())
         assert 0 <= row["stationary_increments"] <= 20 and 0 <= row["switch_increments"] <= 20
+        window = row["switch_window"]
+        grew = row["switch_increments"] > 0
+        assert set(window) == {"actions", "increments_sized_0", "q_increment_largest", "headroom"} | (
+            set() if grew else {"why"}
+        )
+        assert list(window["actions"]) == ["pool", "increment", "merge"] and sum(window["actions"].values()) == 20
+        # a growing increment is neither sized to 0 nor counted twice
+        assert window["increments_sized_0"] + row["switch_increments"] == window["actions"]["increment"]
+        assert window["q_increment_largest"] == sorted(set(window["q_increment_largest"]))
+        assert all(150 <= b < 170 for b in window["q_increment_largest"])
+        assert window["headroom"] >= 0
+        if not grew:
+            assert window["why"] in claims.WHY
     summary = report["summary"]
     assert summary == claims.summarise(rows)
     stationary = summary["stationary_e_glb"]
@@ -79,6 +94,8 @@ def test_claims_report_shape_on_two_seeds(claims, capsys):
         for key in differences:
             assert set(part[key]) == {"mean", "se"} and part[key]["se"] >= 0.0
     assert summary["responders"] in (0, 1, 2)
+    assert list(summary["why"]) == list(claims.WHY)
+    assert sum(summary["why"].values()) == 2 - summary["responders"]
     # the stationary summary is read from the stationary rows, which come
     # from runs of their own
     flat = [row["stationary_e_glb_mean"] for row in rows]
@@ -87,6 +104,33 @@ def test_claims_report_shape_on_two_seeds(claims, capsys):
     assert math.isclose(stationary["radae_minus_sdae"]["mean"], sum(e["radae"] - e["sdae"] for e in flat) / 2)
     assert len(summary["gate_chance"]) == 3
     assert all(0.0 <= p <= 1.0 for p in summary["gate_chance"].values())
+
+
+class Record:
+    """The trace columns ``switch_window`` reads."""
+
+    def __init__(self, batch, action="pool", delta=0, width=30, q=(0.0, -1.0, -1.0)):
+        self.batch, self.action, self.delta, self.widths = batch, action, delta, (width,)
+        self.q_pool, self.q_increment, self.q_merge = q
+
+
+@pytest.mark.parametrize(
+    "late, why",
+    [
+        (Record(160, "increment", 2), None),
+        (Record(160, width=64), "corridor full"),
+        (Record(160, "increment", 0), "increment never preferred"),
+        (Record(160, "increment", 0, q=(0.0, 0.0, -1.0)), "sized to 0"),  # a tie counts as largest
+    ],
+)
+def test_claims_why_follows_the_docstring_rule(claims, late, why):
+    cfg = SimpleNamespace(rl=SimpleNamespace(size_high=2.0), nn=SimpleNamespace(widths=(32, 32)))
+    records = [Record(b) for b in range(170)]
+    records[160] = late
+    window = claims.switch_window(records, cfg)
+    assert window.get("why") == why
+    assert window["headroom"] == 64 - late.widths[0]
+    assert window["q_increment_largest"] == ([160] if late.q_increment == 0.0 else [])
 
 
 def test_claims_gate_chance_is_the_binomial_tail(claims):

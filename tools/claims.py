@@ -15,15 +15,24 @@ stays as it is.
 Prints one JSON document.  ``seeds`` holds, per seed, each policy's
 ``e_glb_mean`` on the desk stream and ``stationary_e_glb_mean`` on the
 stationary desk stream, and the number of growing increments in batches
-150-170 (the gate's window) on the switch and on the stationary stream.
+150-169 (the gate's window) on the switch and on the stationary stream.
+Its ``switch_window`` says what radae did in that window on the switch
+stream: the actions chosen, by kind; the increments sized to 0; the
+batches on which ``q_increment`` was the largest of the three Q-values
+(ties count); and the corridor headroom, ``floor(rl.size_high x initial
+width)`` minus the window's largest width.  A seed that did not grow in
+the window, a non-responder, also gets a ``why``, by this rule: "corridor
+full" if the headroom is 0; otherwise "increment never preferred" if
+``q_increment`` was never the largest; otherwise "sized to 0".
 ``summary`` holds the sign counts (radae below sdae, radae at or below
 midae, midae above sdae, seeds that grew after the switch), the mean
-paired differences with their standard errors, and, for each of the
-gate's count thresholds on 5 seeds, the chance that 5 seeds drawn at the
-measured rate meet it; ``stationary_e_glb`` holds the same sign counts
-and differences on the stationary desk stream.  ``machine`` is the host
-and library versions.  One BLAS thread, as the benchmark uses.  20 seeds
-take about 90 s on a 2-vCPU host.  To judge a trace-changing change, run
+paired differences with their standard errors, the count of each
+``why``, and, for each of the gate's count thresholds on 5 seeds, the
+chance that 5 seeds drawn at the measured rate meet it;
+``stationary_e_glb`` holds the same sign counts and differences on the
+stationary desk stream.  ``machine`` is the host and library versions.
+One BLAS thread, as the benchmark uses.  20 seeds take about 90 s on a
+2-vCPU host.  To judge a trace-changing change, run
 it on both checkouts:
 
     git archive PARENT | tar -x -C ../parent
@@ -38,12 +47,15 @@ import json
 import math
 import statistics
 import sys
+from collections import Counter
 from pathlib import Path
 
 from trace_digests import ROOT, _load  # tools/ is first on sys.path when run as a script
 
 POLICIES = ("sdae", "midae", "radae")
 WINDOW = slice(150, 170)  # criterion 10's batches after the switch
+ACTIONS = ("pool", "increment", "merge")
+WHY = ("corridor full", "increment never preferred", "sized to 0")
 GATE_SEEDS = 5
 # criterion: (the count it asserts on GATE_SEEDS seeds, the summary key counted)
 GATE = {
@@ -57,11 +69,30 @@ def growth(records) -> int:
     return sum(r.action == "increment" and r.delta > 0 for r in records[WINDOW])
 
 
+def switch_window(records, cfg) -> dict:
+    """What radae did in the window, and, if it did not grow, why: the rule
+    is in the module docstring."""
+    window = records[WINDOW]
+    actions = Counter(r.action for r in window)
+    preferred = [r.batch for r in window if r.q_increment >= max(r.q_pool, r.q_merge)]
+    headroom = math.floor(cfg.rl.size_high * cfg.nn.widths[0]) - max(r.widths[0] for r in window)
+    row = {
+        "actions": {kind: actions[kind] for kind in ACTIONS},
+        "increments_sized_0": sum(r.action == "increment" and r.delta == 0 for r in window),
+        "q_increment_largest": preferred,
+        "headroom": headroom,
+    }
+    if growth(records) == 0:
+        row["why"] = WHY[0] if headroom == 0 else WHY[1] if not preferred else WHY[2]
+    return row
+
+
 def seed_row(acceptance, run_experiment, seed: int) -> dict:
     def errors(mode: str) -> dict:
         return {p: run_experiment(acceptance.desk_config(p, seed, mode=mode)).summary.e_glb_mean for p in POLICIES}
 
-    switched = run_experiment(acceptance.switch_config(seed, "switch")).records
+    switch_cfg = acceptance.switch_config(seed, "switch")
+    switched = run_experiment(switch_cfg).records
     flat = run_experiment(acceptance.switch_config(seed, "stationary")).records
     return {
         "seed": seed,
@@ -69,6 +100,7 @@ def seed_row(acceptance, run_experiment, seed: int) -> dict:
         "switch_increments": growth(switched),
         "stationary_increments": growth(flat),
         "stationary_e_glb_mean": errors("stationary"),
+        "switch_window": switch_window(switched, switch_cfg),
     }
 
 
@@ -103,6 +135,7 @@ def summarise(rows: list[dict]) -> dict:
     counts, differences = compare([r["e_glb_mean"] for r in rows])
     switch = [r["switch_increments"] for r in rows]
     counts["responders"] = sum(c >= 1 for c in switch)
+    why = Counter(r["switch_window"].get("why") for r in rows)
     stationary_counts, stationary_differences = compare([r["stationary_e_glb_mean"] for r in rows])
     return {
         "seeds": len(rows),
@@ -115,6 +148,7 @@ def summarise(rows: list[dict]) -> dict:
             for name, (k, key) in GATE.items()
         },
         "stationary_e_glb": {**stationary_counts, **stationary_differences},
+        "why": {reason: why[reason] for reason in WHY},
     }
 
 

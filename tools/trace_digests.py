@@ -23,7 +23,7 @@ controller's defaults (desk.cfg without its ``rl.*`` lines) in state
 spaces 3 and 1; radae and midae on 784-dimensional desk batches, a
 stream larger than the harness's ``PREFETCH_BYTES``; every benchmark workload
 at sub-seeds 1000 and 1001; sdae on four batches of ``sdae-wide``'s
-1000 x 784, whose ``l_gen`` the harness sums on its loss helper; every policy with pre-training, with a
+1000 x 784, whose ``l_gen`` the harness sums on its worker; every policy with pre-training, with a
 one-layer net and with the label loss alone; radae on a stationary stream;
 and radae with a diverse pool small enough to evict.  One BLAS thread, as
 the benchmark uses.  A full pass takes about 20 s on a 2-vCPU host.
