@@ -237,8 +237,9 @@ class QModel:
         self.observations[action].append((np.asarray(state.vector), float(value)))
         self._stale[action] = True
 
-    def refit(self) -> None:
-        """Refit every curve whose observations changed.
+    def refit(self) -> list[ActionKind]:
+        """Refit every curve whose observations changed, and return their
+        actions; every other curve is left as it was.
 
         The kernel is re-tuned by ``gp.optimize_hyperparams`` on every refit
         of an action with at least 2 observations while its window fills.
@@ -246,6 +247,7 @@ class QModel:
         refit of that action re-tunes (one in ``RETUNE_EVERY``); the others
         fit with the action's kept hyperparameters.
         """
+        refitted = []
         for action in ACTIONS:
             obs = self.observations[action]
             if not obs or not self._stale[action]:
@@ -261,6 +263,8 @@ class QModel:
             sigma_f, length_scale = self.hyperparams[action]
             self.curves[action] = gp.fit(X, y, sigma_f, length_scale, self.noise_var)
             self._stale[action] = False
+            refitted.append(action)
+        return refitted
 
 
 def q_update(
@@ -355,8 +359,9 @@ class RlController:
             # no curve has changed since the last decision predicted prev_value
             q_update(q, self.prev_state, self.prev_action, reward, state, cfg, self.prev_value, max(q_values.values()))
             if n < cfg.greedy_after or n % cfg.refit_interval == 0:
-                q.refit()
-                q_values = q.predictions(state)
+                # a curve that was not refitted predicts the same bits as before
+                for action in q.refit():
+                    q_values[action] = q.predict(action, state)
         kind = select_action(q_values, n, cfg, self.rng)
         self.prev_state, self.prev_action, self.prev_value = state, kind, q_values[kind]
         size = 0 if h.cls_prev is None else compute_delta(h.cls, h.cls_prev, h.ratio, cfg)

@@ -2,14 +2,18 @@
 
 Small and deliberately plain: Cholesky factorisation of the jittered Gram
 matrix, zero prior mean over mean-centred targets, and hyperparameter
-selection by scanning a log-spaced grid for the best marginal likelihood.
-One routine, ``_solve_candidates``, factorises and solves: the scan hands
-it every candidate at once, and ``fit`` is its one-candidate case.  It
-computes the pairwise distances once, takes one ``exp`` per length scale
-and factorises each candidate's Gram matrix in place.  It calls LAPACK
-``potrf``/``potrs`` directly: the same routines, and the same bits, as
-scipy's ``cholesky`` and ``cho_solve`` without their argument checks.
-Finiteness is checked here instead.
+selection by scanning a log-spaced grid, built once at import, for the best
+marginal likelihood.  One routine, ``_solve_candidates``, factorises and
+solves: the scan hands it every candidate at once, and ``fit`` is its
+one-candidate case.  It computes the pairwise distances once, takes one
+``exp`` per length scale and factorises each candidate's Gram matrix in
+place.  Per candidate it does no more than refill that buffer (the noisy
+diagonal through a view of it), call LAPACK and form the log-likelihood.
+It calls LAPACK ``potrf``/``potrs`` directly, with positional arguments:
+the same routines, and the same bits, as scipy's ``cholesky`` and
+``cho_solve`` without their argument checks.  Finiteness is checked here
+instead.  A fitted model keeps its training inputs' squared norms, so a
+prediction computes only the query's half of the distances.
 The routines come from scipy's compiled ``scipy.linalg._flapack`` module,
 loaded by file on the first fit, so no run imports the ``scipy.linalg``
 package and its ~0.1 s set-up.  Fitted models are immutable; predictions
@@ -39,6 +43,8 @@ JITTERS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 SIGMA_GRID = np.geomspace(0.1, 10.0, 7)
 LENGTH_GRID = np.geomspace(0.05, 5.0, 7)
+# the search's 49 (sigma_f, length_scale) points, as Python floats
+GRID = tuple((float(s), float(l)) for s in SIGMA_GRID for l in LENGTH_GRID)
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -81,6 +87,12 @@ class GprModel:
     alpha_vec: np.ndarray
     target_mean: float
     log_marginal: float
+
+    @functools.cached_property
+    def train_sq_norms(self) -> np.ndarray:
+        """The training half of ``_sq_dists(x, train_inputs)``, kept for
+        every prediction."""
+        return np.sum(self.train_inputs**2, axis=1)
 
 
 @functools.cache
@@ -130,12 +142,18 @@ def _solve_candidates(
     candidate's Gram matrix is factorised in place in one reused buffer.
     """
     lapack = _flapack()
+    dpotrf, dpotrs = lapack.dpotrf, lapack.dpotrs
     groups: dict[float, list[int]] = {}
     for i, (_, length_scale) in enumerate(candidates):
         groups.setdefault(length_scale, []).append(i)
     sq = _sq_dists(X, X)
-    K = np.empty_like(sq)
-    half_n_log_2pi = 0.5 * yc.shape[0] * math.log(2.0 * math.pi)
+    n = sq.shape[0]
+    K = np.empty((n, n))  # C-ordered, so that the reshape below is a view
+    # K.T is Fortran-ordered, so potrf factorises it where it lies and reads
+    # K's upper triangle: _sq_dists(X, X) is exactly symmetric, so that is
+    # the lower one.  K_diag is a writable view of K's diagonal.
+    Kt, K_diag = K.T, K.reshape(-1)[:: n + 1]
+    half_n_log_2pi = 0.5 * n * math.log(2.0 * math.pi)
     solved: list[tuple[np.ndarray, float, float] | None] = [None] * len(candidates)
     for length_scale, members in groups.items():
         D = _finite(_decay(sq, length_scale), "the Gram matrix")
@@ -143,21 +161,19 @@ def _solve_candidates(
         diags = _finite(s2[:, None] * D.diagonal() + noise_var, "the noisy Gram diagonal")
         for i, sigma2, diag in zip(members, s2, diags):
             for jitter in JITTERS:
-                # K.T is Fortran-ordered, so potrf factorises it where it lies
-                # and reads K's upper triangle: _sq_dists(X, X) is exactly
-                # symmetric, so that is the lower one
+                # a failed attempt leaves K part-factorised: refill it
                 np.multiply(D, sigma2, out=K)
-                np.fill_diagonal(K, diag + jitter)
-                L, info = lapack.dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
+                np.add(diag, jitter, out=K_diag)
+                L, info = dpotrf(Kt, 1, 0, 1)  # lower, clean, overwrite_a
                 if info == 0:
                     break
             else:
                 continue
-            alpha, _ = lapack.dpotrs(L, yc, lower=1)
+            alpha, _ = dpotrs(L, yc, 1)  # lower
             # one log and one sum of the strided diagonal per candidate: a
             # group's diagonals logged and summed as one 2-D array may take
             # other numpy loops and round differently
-            lml = -0.5 * float(yc @ alpha) - float(np.sum(np.log(L.diagonal()))) - half_n_log_2pi
+            lml = -0.5 * float(yc @ alpha) - float(np.log(L.diagonal()).sum()) - half_n_log_2pi
             solved[i] = (alpha, jitter, lml)
     return solved
 
@@ -192,9 +208,16 @@ def fit(
 def predict_mean(model: GprModel, x: np.ndarray) -> float:
     """Posterior mean at one query point."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] != model.train_inputs.shape[1]:
+    X = model.train_inputs
+    if x.shape[0] != X.shape[1]:
         raise ValueError("query dimensionality does not match training inputs")
-    k_star = kernel_matrix(x[None, :], model.train_inputs, model.sigma_f, model.length_scale)[0]
+    # kernel_matrix(x[None, :], X, ...)[0], with _sq_dists' operations in
+    # its order and X's half read from the model
+    q = x[None, :]
+    sq = np.sum(q**2, axis=1)[:, None] + model.train_sq_norms[None, :] - 2.0 * (q @ X.T)
+    np.maximum(sq, 0.0, out=sq)
+    k_star = _decay(sq, model.length_scale)[0]
+    k_star *= model.sigma_f**2
     return float(k_star @ model.alpha_vec) + model.target_mean
 
 
@@ -223,9 +246,8 @@ def optimize_hyperparams(
     X, _, yc, _ = _observations(inputs, targets)
     if X.shape[0] < 2:
         raise ValueError("hyperparameter search needs at least two observations")
-    grid = [(float(s), float(l)) for s in SIGMA_GRID for l in LENGTH_GRID]
     # an equal grid point would score the same and lose the strict tie below
-    candidates = [initial] + [c for c in grid if c != initial]
+    candidates = [initial] + [c for c in GRID if c != initial]
     best = None
     best_lml = -np.inf
     for candidate, solved in zip(candidates, _solve_candidates(X, yc, noise_var, candidates)):

@@ -120,7 +120,7 @@ class TestRuntimeFailures:
 
         lapack = gp._flapack()
 
-        def not_positive_definite(a, **kwargs):
+        def not_positive_definite(a, *args, **kwargs):
             return a, 1
 
         monkeypatch.setattr(

@@ -467,22 +467,46 @@ class TestControlStep:
 
     def test_utilities_evaluated_once_per_decision(self, monkeypatch):
         # 3 for the utilities that the best next value, the choice and the
-        # decision share, and 3 more after a refit; the old value is the one
-        # the last decision predicted
+        # decision share, and 1 more per curve a refit changed; the old value
+        # is the one the last decision predicted
         cfg = cfg_with(warmup_batches=2, greedy_after=6, refit_interval=2, epsilon=0.0)
         ctrl = RlController(cfg, initial_width=10, rng=np.random.default_rng(0))
-        calls = []
-        predict = QModel.predict
+        calls, refits = [], []
+        predict, refit = QModel.predict, QModel.refit
         monkeypatch.setattr(QModel, "predict", lambda q, a, s: calls.append(a) or predict(q, a, s))
-        per_decision = []
+        monkeypatch.setattr(QModel, "refit", lambda q: refits.append(refit(q)) or refits[-1])
+        per_decision, refitted = [], []
         for n, (lg, lc) in enumerate(np.random.default_rng(4).random((14, 2))):
             ctrl.observe(lg, lc, 10, 0.0)
-            before = len(calls)
+            before, refits_before = len(calls), len(refits)
             decision = ctrl.decide(n)
             per_decision.append(len(calls) - before)
-        # refits at every batch before greedy_after, then on even batches
-        assert per_decision == [0, 0, 3, 6, 6, 6, 6, 3, 6, 3, 6, 3, 6, 3]
+            refitted.append(sum(len(r) for r in refits[refits_before:]))
+        # refits at every batch before greedy_after, then on even batches; one
+        # observation since the last refit, so one curve refitted each time
+        assert per_decision == [0, 0, 3, 4, 4, 4, 4, 3, 4, 3, 4, 3, 4, 3]
+        assert per_decision[2:] == [3 + k for k in refitted[2:]]
         assert decision.q_values == {a: predict(ctrl.q, a, decision.state) for a in ACTIONS}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_q_values_after_a_refit_equal_fresh_predictions(self, seed, monkeypatch):
+        # decide re-predicts only the curves a refit changed; every Q-value
+        # must still be the bits of a full prediction with the new curves
+        cfg = cfg_with(warmup_batches=2, greedy_after=8, refit_interval=3, epsilon=0.5)
+        ctrl = RlController(cfg, initial_width=10, rng=np.random.default_rng(seed))
+        refits = []
+        refit = QModel.refit
+        monkeypatch.setattr(QModel, "refit", lambda q: refits.append(refit(q)) or refits[-1])
+        for n, (lg, lc) in enumerate(np.random.default_rng(seed + 10).random((40, 2))):
+            ctrl.observe(lg, lc, 10, 0.0)
+            decision = ctrl.decide(n)
+            if decision.state is not None:
+                fresh = ctrl.q.predictions(decision.state)
+                assert [decision.q_values[a].hex() for a in ACTIONS] == [fresh[a].hex() for a in ACTIONS]
+        # the cases that matter: refits that leave some curve as it was,
+        # and refits of more than one curve at once
+        sizes = [len(r) for r in refits]
+        assert any(0 < k < len(ACTIONS) for k in sizes) and max(sizes) > 1
 
     def test_reused_utilities_equal_fresh_predictions(self, monkeypatch):
         # decide hands q_update the utilities it predicted already; they must

@@ -106,6 +106,12 @@ def gp_problems(draw):
 # a Gram matrix that factorises only from the fourth jitter on, at (1, 1)
 ESCALATING = (np.linspace(0.0, 1.0, 30)[:, None], np.sin(3.0 * np.linspace(0.0, 1.0, 30)), -5e-8, (1.0, 1.0))
 
+# a full window at the desk's rl.max_observations, state space 3 and
+# rl.gp_noise; at its candidate 40 (sigma_f = 4.64) the noisy diagonal rounds
+# differently when its terms are summed in another order
+_rng = np.random.default_rng(3)
+DESK_WINDOW = (_rng.normal(size=(150, 3)), _rng.normal(size=150), 0.2, (1.0, 1.0))
+
 
 class TestReferenceEquality:
     @settings(max_examples=80, deadline=None)
@@ -175,6 +181,32 @@ class TestCandidateScores:
                 continue
             assert got is not None and got[0].tobytes() == alpha.tobytes()
             assert got[1] == jitter and np.float64(got[2]).tobytes() == np.float64(lml).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=search_problems(), pick=st.integers(0, 49))
+    @example(problem=ESCALATING, pick=0)
+    @example(problem=ESCALATING[:2] + (-1e3, (1.0, 1.0)), pick=0)
+    @example(problem=DESK_WINDOW, pick=40)
+    def test_search_and_fit_equal_the_references_bit_for_bit(self, problem, pick):
+        # up to 150 observations, with noise that climbs the jitter ladder
+        # and noise at which every candidate fails
+        X, y, noise_var, initial = problem
+        best = reference_search(X, y, noise_var, initial)
+        if best is None:
+            with pytest.raises(np.linalg.LinAlgError, match="every hyperparameter candidate"):
+                optimize_hyperparams(X, y, noise_var, initial)
+        else:
+            assert optimize_hyperparams(X, y, noise_var, initial) == best
+        for sigma_f, length_scale in {best or initial, candidates(initial)[pick]}:
+            try:
+                _, alpha, jitter, lml = reference_fit(X, y, sigma_f, length_scale, noise_var)
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    fit(X, y, sigma_f, length_scale, noise_var)
+                continue
+            model = fit(X, y, sigma_f, length_scale, noise_var)
+            assert model.alpha_vec.tobytes() == alpha.tobytes()
+            assert model.jitter == jitter and model.log_marginal.hex() == lml.hex()
 
     def test_the_example_escalates_and_the_all_fail_case_raises(self):
         X, y, noise_var, initial = ESCALATING
@@ -319,6 +351,19 @@ class TestFitPredict:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit(np.zeros((0, 1)), np.zeros(0))
+
+    def test_predictions_are_the_kernel_formulas_bit_for_bit(self):
+        # predict_mean keeps the training half of the distances on the model;
+        # each prediction must be the bits of the plain kernel_matrix formula
+        rng = np.random.default_rng(14)
+        for n in range(1, 151):
+            d = 1 + n % 6
+            X = rng.normal(scale=(0.01, 1.0, 3.0)[n % 3], size=(n, d))
+            model = fit(X, rng.normal(size=n), float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.05, 5.0)), 0.2)
+            for x in (*rng.normal(size=(4, d)), X[0], X[-1]):
+                k_star = kernel_matrix(x[None, :], X, model.sigma_f, model.length_scale)[0]
+                expected = float(k_star @ model.alpha_vec) + model.target_mean
+                assert predict_mean(model, x).hex() == expected.hex(), n
 
     def test_query_dimension_checked(self):
         model = fit(np.zeros((2, 2)), np.array([0.0, 1.0]), noise_var=0.1)

@@ -31,15 +31,69 @@ def test_every_trace_digest_config_validates():
         assert validate_experiment(parse_config(text)) == [], name
 
 
+TINY = "policy = sdae\nstream.batches = 3\nstream.batch_size = 10\nstream.dims = 4\nnn.widths = 4\npool.capacity = 10\n"
+
+
+def test_the_committed_baseline_holds_every_config_once():
+    tool = load_tool()
+    with mock.patch.dict(os.environ):  # perfbench/run.py sets the BLAS thread count
+        configs = tool.trace_configs()
+    header, digests = tool.read_baseline(TOOLS / "trace_digests.txt")
+    assert list(digests) == list(configs)
+    assert set(header) == set(tool.versions())
+    assert len(set(digests.values())) == len(digests)
+
+
 def test_configs_with_equal_digests_are_named_and_fail(capsys):
     tool = load_tool()
-    tiny = "policy = sdae\nstream.batches = 3\nstream.batch_size = 10\nstream.dims = 4\nnn.widths = 4\npool.capacity = 10\n"
-    configs = {"a": tiny + "seed = 1\n", "b": tiny + "seed = 2\n", "c": tiny + "seed = 1\n"}
+    configs = {"a": TINY + "seed = 1\n", "b": TINY + "seed = 2\n", "c": TINY + "seed = 1\n"}
     with mock.patch.object(tool, "trace_configs", lambda root: configs):
         assert tool.main([]) == 1
     out, err = capsys.readouterr()
     assert [line.split()[0] for line in out.splitlines()] == ["a", "b", "c"]
     assert err == "equal digests: a c\n"
+
+
+def test_check_names_each_config_whose_digest_differs_and_fails(tmp_path, capsys):
+    tool = load_tool()
+    configs = {name: TINY + f"seed = {seed}\n" for seed, name in enumerate("abc", 1)}
+    baseline = tmp_path / "baseline.txt"
+    with mock.patch.object(tool, "trace_configs", lambda root: configs):
+        assert tool.main(["--write", str(baseline)]) == 0
+        written = capsys.readouterr().out
+        assert tool.main(["--check", str(baseline)]) == 0
+        assert capsys.readouterr() == (written, "")
+        header, digests = tool.read_baseline(baseline)
+        assert header == tool.versions() and list(digests) == ["a", "b", "c"]
+        assert baseline.read_text().endswith(written)
+        # b's digest edited, c missing and d new: each differs from the run
+        lines = baseline.read_text().splitlines()
+        edited = tmp_path / "edited.txt"
+        lines[-2] = "b " + "0" * 64
+        edited.write_text("\n".join(lines[:-1] + ["d " + "1" * 64]) + "\n")
+        assert tool.main(["--check", str(edited)]) == 1
+    out, err = capsys.readouterr()
+    assert out == written
+    assert err == f"digests differ from {edited}: b d c\n"
+
+
+@pytest.mark.parametrize("key", ["python", "numpy", "scipy", "numpy-blas", "scipy-blas"])
+def test_check_on_other_versions_exits_with_its_own_code_before_running(key, tmp_path, capsys):
+    tool = load_tool()
+    running = tool.versions()
+    baseline = tmp_path / "baseline.txt"
+    header = {**running, key: running[key] + ".1"}
+    baseline.write_text("".join(f"# {k} {v}\n" for k, v in header.items()) + "a " + "0" * 64 + "\n")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a config ran")
+
+    with mock.patch.object(tool, "trace_configs", lambda root: {"a": TINY}):
+        with mock.patch("adaptdae.harness.run_experiment", no_run):
+            assert tool.main(["--check", str(baseline)]) == tool.VERSIONS_DIFFER != 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"versions differ: {key} {header[key]} in {baseline}, {running[key]} here\n"
 
 
 @pytest.fixture

@@ -31,9 +31,9 @@ paired differences with their standard errors, the count of each
 chance that 5 seeds drawn at the measured rate meet it;
 ``stationary_e_glb`` holds the same sign counts and differences on the
 stationary desk stream.  ``machine`` is the host and library versions.
-One BLAS thread, as the benchmark uses.  20 seeds take about 90 s on a
-2-vCPU host.  To judge a trace-changing change, run
-it on both checkouts:
+One BLAS thread, as the benchmark uses.  20 seeds took 103 s on a
+2-vCPU Intel Xeon host (AVX-512, OpenBLAS's SkylakeX kernels).  To judge
+a trace-changing change, run it on both checkouts:
 
     git archive PARENT | tar -x -C ../parent
     python3 tools/claims.py --root ../parent > parent.json

@@ -1,14 +1,28 @@
 """Trace digests of a fixed set of 38 configs: a refactor's "traces unchanged" check.
 
-    python3 tools/trace_digests.py [--root DIR]
+    python3 tools/trace_digests.py [--root DIR] [--check FILE | --write FILE]
 
 Runs every config of the set, one after another in this process, with the
 library of the checkout at DIR (default: this one), and prints one
 ``name digest`` line per config.  A digest is the sha256 of the trace with
 its ``wall_ms`` column dropped, as ``perfbench/child.py`` computes it.  Two
 configs with one digest cover the same behaviour twice, so the tool names
-them and exits 1 after printing every line.  To check that a change leaves
-every trace as it was, run it on both checkouts and compare:
+them and exits 1 after printing every line.
+
+``tools/trace_digests.txt`` is the committed baseline: every line, under a
+header naming the Python, numpy and scipy versions and the BLAS each of
+numpy and scipy was built with.  ``--check FILE`` compares the run with
+such a file and exits 1, naming every config whose digest differs, is
+missing or is new.  Before it runs anything it compares the running
+versions with the header's; if any differs, it names them and exits 3,
+since other versions may compute other bits without a code change.
+``--write FILE`` writes the run as such a file; a change that alters a
+trace on purpose regenerates the baseline with it in the same commit:
+
+    python3 tools/trace_digests.py --check tools/trace_digests.txt
+    python3 tools/trace_digests.py --write tools/trace_digests.txt
+
+To compare two checkouts directly, run the tool on both:
 
     git archive PARENT | tar -x -C ../parent
     python3 tools/trace_digests.py --root ../parent > parent.txt
@@ -26,19 +40,22 @@ at sub-seeds 1000 and 1001; sdae on four batches of ``sdae-wide``'s
 1000 x 784, whose ``l_gen`` the harness sums on its worker; every policy with pre-training, with a
 one-layer net and with the label loss alone; radae on a stationary stream;
 and radae with a diverse pool small enough to evict.  One BLAS thread, as
-the benchmark uses.  A full pass takes about 20 s on a 2-vCPU host.
+the benchmark uses.  A full pass took 32-33 s on a 2-vCPU Intel Xeon
+host (AVX-512, OpenBLAS's SkylakeX kernels), with or without ``--check``.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 POLICIES = ("sdae", "midae", "radae")
+VERSIONS_DIFFER = 3  # --check's exit code when the running versions are not the baseline's
 
 
 def _load(path: Path, name: str):
@@ -89,11 +106,57 @@ def trace_configs(root: Path = ROOT) -> dict[str, str]:
     return configs
 
 
+def versions() -> dict[str, str]:
+    """What a digest may depend on besides the code: the baseline's header."""
+    import numpy
+    import scipy
+
+    def blas(module) -> str:
+        built = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{built.get('name')} {built.get('version')}"
+
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "numpy-blas": blas(numpy),
+        "scipy-blas": blas(scipy),
+    }
+
+
+def read_baseline(path: Path) -> tuple[dict[str, str], dict[str, str]]:
+    """The header's versions and the name -> digest lines of a baseline file."""
+    header, digests = {}, {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition(" ")
+            header[key] = value
+        elif line.strip():
+            name, digest = line.split()
+            digests[name] = digest
+    return header, digests
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout whose library runs the configs")
-    root = parser.parse_args(argv).root.resolve()
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", type=Path, metavar="FILE", help="compare the digests with a baseline file")
+    mode.add_argument("--write", type=Path, metavar="FILE", help="write the digests as a baseline file")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
     configs = trace_configs(root)  # first: it sets the BLAS thread count before numpy loads
+    running = versions()
+    if args.check:
+        header, baseline = read_baseline(args.check)
+        differ = [
+            f"{key} {header.get(key)} in {args.check}, {value} here"
+            for key, value in running.items()
+            if header.get(key) != value
+        ]
+        if differ:
+            print("versions differ: " + "; ".join(differ), file=sys.stderr)
+            return VERSIONS_DIFFER
     trace_digest = _load(root / "perfbench" / "child.py", "perfbench_child").trace_digest
     import adaptdae
     from adaptdae.config import parse_config, validate_experiment
@@ -102,6 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     if not Path(adaptdae.__file__).resolve().is_relative_to(root):
         raise SystemExit(f"adaptdae loaded from {adaptdae.__file__}, not from {root}")
 
+    digests: dict[str, str] = {}
     by_digest: dict[str, list[str]] = {}
     with tempfile.TemporaryDirectory() as work:
         for name, text in configs.items():
@@ -111,13 +175,21 @@ def main(argv: list[str] | None = None) -> int:
                 raise SystemExit(f"{name}: {'; '.join(problems)}")
             out = str(Path(work) / f"{name}.csv")
             run_experiment(cfg, out_path=out)
-            digest = trace_digest(out)
+            digest = digests[name] = trace_digest(out)
             by_digest.setdefault(digest, []).append(name)
             print(name, digest, flush=True)
     repeats = [names for names in by_digest.values() if len(names) > 1]
     for names in repeats:
         print(f"equal digests: {' '.join(names)}", file=sys.stderr)
-    return 1 if repeats else 0
+    changed = []
+    if args.check:
+        changed = [name for name in {**baseline, **digests} if baseline.get(name) != digests.get(name)]
+        if changed:
+            print(f"digests differ from {args.check}: {' '.join(changed)}", file=sys.stderr)
+    if args.write:
+        lines = [f"# {key} {value}" for key, value in running.items()] + [f"{n} {d}" for n, d in digests.items()]
+        args.write.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return 1 if repeats or changed else 0
 
 
 if __name__ == "__main__":
