@@ -9,9 +9,9 @@ evaluated after that.  The global error is measured on a class-balanced
 held-out split after every batch.  Runs with the same seed share the
 stream and the initial network across policies.  One worker thread draws
 the batches, up to ``PREFETCH_BYTES`` ahead, while the loop trains; on
-``_wide`` batches it also sums the upcoming batch's reconstruction loss
-and runs the label half of each fine-tune's backward, each job in the
-order it was submitted.  The loop's thread runs everything else.
+``_wide`` batches it also sums the upcoming batch's reconstruction loss,
+each job in the order it was submitted.  The loop's thread runs everything
+else.
 """
 
 from __future__ import annotations
@@ -105,21 +105,17 @@ class RunResult:
 
 def _mean_rec_loss(fwd: Forward) -> float:
     # runs on the run's worker, so it calls nothing the benchmark spans: its
-    # tracer keeps one span stack for all threads.  The same holds for the
-    # label backward that finetune hands the worker
+    # tracer keeps one span stack for all threads
     return float(fwd.rec_losses.mean())
 
 
 def _wide(batch: DataBatch) -> bool:
-    """Whether ``batch`` hands the run's worker its ``l_gen`` sum and its
-    fine-tune's label backward.  Measured with a thread of their own, the
-    sum's hand-off on every batch cost radae-desk and midae-switch 5.1% and
-    8.0% of their examples per second, the label backward's 5.6% and 5.0%
-    (10 of 10 pairs lost each); at 784 dims the sum's saved sdae 3-12% per
-    batch from 8 rows up and cost radae at most 0.5% (BENCH_25.json
-    "gate_removed", "gate_size_sweep"), and the label backward's cost 2-13%
-    below 42 rows and saved sdae 3-8% and radae 1.5-3.4% from 84 rows up
-    (BENCH_26.json "*_label_backward_ungated", "label_backward_gate_size_sweep")."""
+    """Whether ``batch`` hands the run's worker its ``l_gen`` sum: whether
+    that sum spans more than one ``cross_entropy`` block.  Measured with a
+    thread of its own, the hand-off on every batch cost radae-desk and
+    midae-switch 5.1% and 8.0% of their examples per second (10 of 10 pairs
+    lost each); at 784 dims it saved sdae 3-12% per batch from 8 rows up and
+    cost radae at most 0.5% (BENCH_25.json "gate_removed", "gate_size_sweep")."""
     return batch.inputs.size > CE_BLOCK_ELEMENTS
 
 
@@ -227,8 +223,8 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
     depth = max(1, PREFETCH_BYTES // batch_bytes)
     # the one worker draws the batches in order, depth ahead: a stream that
     # fits is drawn whole here, in set-up, and a longer one while the loop
-    # trains.  Between draws it takes wide batches' l_gen sums and label
-    # backwards.  Leaving the block joins it however the run ends.
+    # trains.  Between draws it takes wide batches' l_gen sums.  Leaving
+    # the block joins it however the run ends.
     with ThreadPoolExecutor(1, thread_name_prefix="adaptdae-worker") as worker:
         ahead = deque(worker.submit(next, batches) for _ in range(min(depth, spec.batches)))
         wait(ahead)
@@ -261,7 +257,7 @@ def _run_batches(
 ) -> Iterator[TraceRecord]:
     """Build the network and the policy, then pass over the batches once,
     taking each batch one ahead of its training; yield each batch's row.
-    ``worker`` takes the jobs of ``_wide`` batches."""
+    ``worker`` takes the ``l_gen`` sums of ``_wide`` batches."""
     init_rng = np.random.default_rng([cfg.seed, 1])
     train_rng = np.random.default_rng([cfg.seed, 2])
     ctrl_rng = np.random.default_rng([cfg.seed, 3])
@@ -336,7 +332,7 @@ def _run_batches(
             if event is not None:
                 # an event edits the parameters even when the width stays the same
                 action, delta, edited = "event", event.added - event.merged, True
-        finetune(net, batch, cfg.nn.hybrid_weight, None if edited else fwd, helper=worker if _wide(batch) else None)
+        finetune(net, batch, cfg.nn.hybrid_weight, None if edited else fwd)
         # once resolved, before the next forward, the worker holds no x_hat
         l_gen = _resolved(l_gen, n)
 

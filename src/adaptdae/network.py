@@ -10,7 +10,6 @@ terms stay finite.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor, wait
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,8 +19,9 @@ PROB_EPS = 1e-7
 # cross_entropy takes its temporaries this many elements at a time: 83 rows
 # of 784, a quarter of a 1000 x 784 array.  Of 2^14 to 2^18, at 1000 x 784,
 # 2^14 ran slowest and 2^16 up no slower than one whole pass (BENCH_24.json).
-# harness._wide reads it too, as the size above which a batch hands work to
-# the run's worker, so a retune of the block moves that gate.
+# harness._wide reads it too, as the size above which a batch's loss sum spans
+# more than one block and goes to the run's worker, so a retune of the block
+# moves that gate.
 CE_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -404,17 +404,24 @@ def _output_delta(y_hat: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _reconstruction_grads(
-    layers: list[Layer], acts: list[np.ndarray], dec_in: list[np.ndarray], du: np.ndarray
+    layers: list[Layer], acts: list[np.ndarray], dec_in: list[np.ndarray], du: np.ndarray,
+    weight: float = 1.0, label: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[LayerGrads]:
-    """Gradients of the mean reconstruction loss of the stack ``layers``.
+    """Gradients of ``weight`` times the mean reconstruction loss of the
+    stack ``layers``, plus, given ``label``, those of the label loss.
 
     The encoder reads ``acts`` (``acts[0]`` is its input, corrupted or
     not) and ``dec_in[i]`` is the code layer ``i`` decodes.  ``du`` is the
-    residual ``x_hat - target``, divided by the row count in place.  The
-    backward lets go of it after the first decoder layer, so a residual
-    passed as a temporary is freed there.
+    residual ``x_hat - target``, divided by the row count and scaled by
+    ``weight`` in place.  The backward lets go of it after the first
+    decoder layer, so a residual passed as a temporary is freed there.
+    ``label`` is the label loss's ``(dz, out_W)``: its top gradient
+    ``dz @ out_W`` joins the reconstruction's at the top code, so one
+    encoder backward serves both losses.
     """
     du /= du.shape[0]
+    if weight != 1.0:
+        du *= weight
     # walk the decode chain back up; du is the pre-sigmoid gradient at each level
     dec = []
     for i, (layer, h) in enumerate(zip(layers, dec_in)):
@@ -423,6 +430,9 @@ def _reconstruction_grads(
         if i + 1 < len(layers):
             du *= h
             du *= 1.0 - h
+    if label is not None:
+        dz, out_W = label
+        du += dz @ out_W
     # tied weights: the encoder's part of dW joins the decoder's
     return [
         LayerGrads(np.add(dW_dec, dW, out=dW_dec), db, db_rec)
@@ -450,48 +460,23 @@ def network_loss(
     return disc + hybrid_weight * gen, disc, gen
 
 
-def _gradients(
-    net: Network,
-    batch: DataBatch,
-    hybrid_weight: float,
-    fwd: Forward | None = None,
-    *,
-    helper: Executor | None = None,
-) -> NetworkGrads:
+def _gradients(net: Network, batch: DataBatch, hybrid_weight: float, fwd: Forward | None = None) -> NetworkGrads:
     """Analytic gradients of the mean hybrid objective; no loss value is
     computed.  Without ``fwd`` the decoder stack runs only if
-    ``hybrid_weight`` is non-zero.
-
-    Given ``helper`` and a non-zero ``hybrid_weight``, the label loss's
-    encoder backward runs on ``helper`` while the reconstruction backward
-    runs here; both only read the forward and the parameters, and their
-    results are combined as without ``helper``, so every bit is the same.
+    ``hybrid_weight`` is non-zero.  One encoder backward serves both
+    losses (``_reconstruction_grads``).
     """
     if fwd is None:
         fwd = forward(net, batch.inputs, decode=hybrid_weight != 0.0)
     acts = fwd.acts
     dz = _output_delta(fwd.y_hat, batch.labels)
-    label = None
-    if helper is not None and hybrid_weight != 0.0:
-        label = helper.submit(_encoder_backward, net.layers, acts, dz @ net.out_W)
-    else:
-        enc = _encoder_backward(net.layers, acts, dz @ net.out_W)
     if hybrid_weight == 0.0:
+        enc = _encoder_backward(net.layers, acts, dz @ net.out_W)
         layers = [LayerGrads(dW, db, np.zeros_like(l.b_rec)) for l, (dW, db) in zip(net.layers, enc)]
     else:
-        try:
-            rec = _reconstruction_grads(net.layers, acts, fwd.recs[1:], fwd.recs[0] - acts[0])
-        finally:
-            if label is not None:
-                # joined however this half ends: the caller may change the
-                # parameters once this returns or raises
-                wait([label])
-        if label is not None:
-            enc = label.result()  # raises the helper's error with its type
-        layers = [
-            LayerGrads(dW + hybrid_weight * r.dW, db + hybrid_weight * r.db, hybrid_weight * r.db_rec)
-            for (dW, db), r in zip(enc, rec)
-        ]
+        layers = _reconstruction_grads(
+            net.layers, acts, fwd.recs[1:], fwd.recs[0] - acts[0], hybrid_weight, (dz, net.out_W)
+        )
     return NetworkGrads(layers, dz.T @ acts[-1], dz.sum(axis=0))
 
 
@@ -510,22 +495,14 @@ def network_gradients(
     return _gradients(net, batch, hybrid_weight, fwd), disc, gen
 
 
-def finetune(
-    net: Network,
-    batch: DataBatch,
-    hybrid_weight: float = 0.2,
-    fwd: Forward | None = None,
-    *,
-    helper: Executor | None = None,
-) -> Network:
+def finetune(net: Network, batch: DataBatch, hybrid_weight: float = 0.2, fwd: Forward | None = None) -> Network:
     """One SGD step on the mean hybrid objective over the batch.
 
     The step computes the gradients alone: neither loss's value is taken.
-    ``helper`` runs the label half of the backward, as in ``_gradients``.
     """
     if batch.inputs.shape[1] != net.n_input:
         raise ValueError("batch dimensionality does not match the network")
-    grads = _gradients(net, batch, hybrid_weight, fwd, helper=helper)
+    grads = _gradients(net, batch, hybrid_weight, fwd)
     lr = net.learning_rate
     pairs = []
     for layer, g in zip(net.layers, grads.layers):

@@ -76,7 +76,8 @@ def _train_new_rows(net: Network, old_h: int, batches: list[DataBatch], rng: np.
 
 def _train_new_columns(net: Network, old_h: int, batches: list[DataBatch]) -> None:
     # one supervised pass moving only the columns fed by the new nodes: the
-    # label backward of network_gradients, stopped at the downstream matrix.
+    # backward of network_gradients at hybrid weight 0, stopped at the
+    # downstream matrix.
     # The full gradient is sliced, not a column slice multiplied, because a
     # matmul's shape can change its rounding
     down = _downstream(net)

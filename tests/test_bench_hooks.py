@@ -8,7 +8,8 @@ replaces ``harness.TraceRecord`` for the whole run, trace writing included.
 Likewise, each kernel ``perfbench/micro.py`` times is called once here, so a
 changed kernel signature fails tier-1 rather than a traced benchmark run.
 The child's tracer keeps one span stack for all threads, so every function
-it spans must run on the loop's thread, wide batches' hand-offs or not.
+it spans must run on the loop's thread, a wide batch's ``l_gen`` sum on the
+run's worker or not.
 """
 
 import importlib.util
@@ -153,15 +154,18 @@ def test_no_span_runs_off_the_loop_thread(monkeypatch, policy):
     child = load_perfbench(monkeypatch, "child")
     recorder = ThreadRecorder(monkeypatch)
     child.install_spans(recorder)
-    # also note who runs the encoder backward, which is not spanned: the
-    # run's worker runs the label half of each wide batch's fine-tune
+    # also note who runs two functions that are not spanned: the run's
+    # worker sums each wide batch's l_gen, and the loop's thread runs every
+    # encoder backward
+    recorder.wrap(harness, "_mean_rec_loss", "mean_rec_loss")
     recorder.wrap(network, "_encoder_backward", "encoder_backward")
     cfg = parse_config(TINY_RADAE if policy == "radae" else TINY[policy])
     cfg.stream = replace(cfg.stream, dims=784, batch_size=84, batches=8)
     assert cfg.stream.batch_size * cfg.stream.dims > network.CE_BLOCK_ELEMENTS  # every batch is wide
     harness.run_experiment(cfg)
-    helpers = recorder.threads.pop("encoder_backward") - {threading.current_thread().name}
+    helpers = recorder.threads.pop("mean_rec_loss") - {threading.current_thread().name}
     assert helpers and all(name.startswith("adaptdae-worker") for name in helpers)
+    assert recorder.threads.pop("encoder_backward") == {threading.current_thread().name}
     called = {name: threads for name, threads in recorder.threads.items() if threads}
     assert {"network.finetune", "network.sigmoid", "harness.eval_global"} <= called.keys()
     assert all(threads == {threading.current_thread().name} for threads in called.values()), called

@@ -458,9 +458,8 @@ def masked_sigmoid_into(v, out=None):
     return out
 
 
-def plain_finetune(net, batch, hybrid_weight=0.2, fwd=None, *, helper=None):
-    # the reference runs its own forward and both halves of its backward, so
-    # ``fwd`` and ``helper`` are ignored
+def plain_finetune(net, batch, hybrid_weight=0.2, fwd=None):
+    # the reference runs its own forward, so ``fwd`` is ignored
     grads, _, _ = plain_network_gradients(net, batch, hybrid_weight)
     for p, g in zip(_collect_params(net), _collect_grads(grads)):
         p[...] = p - net.learning_rate * g
@@ -555,9 +554,6 @@ def wide_config(policy="sdae", batches=10, rows=84):
     return cfg
 
 
-LOSS_JOBS = ("_mean_rec_loss", "_encoder_backward")
-
-
 class LossHelper:
     """Wraps ``harness.ThreadPoolExecutor``: notes each executor's worker
     count, counts the loss jobs submitted to it by the name of the callable
@@ -583,7 +579,7 @@ class LossHelper:
 
     def _submitter(self, submit):
         def counted(fn, *args):
-            if fn.__name__ not in LOSS_JOBS:
+            if fn.__name__ != "_mean_rec_loss":
                 assert fn is next
                 self.draws += 1
                 return submit(fn, *args)
@@ -613,8 +609,8 @@ class TestLossHelper:
             threaded = run_experiment(cfg)
         finally:
             sys.setswitchinterval(interval)
-        # one l_gen sum and one label backward per batch
-        per_run = Counter({"_mean_rec_loss": cfg.stream.batches, "_encoder_backward": cfg.stream.batches})
+        # one l_gen sum per batch
+        per_run = Counter({"_mean_rec_loss": cfg.stream.batches})
         assert helper.submits == per_run
         assert helper.workers == [1]  # one executor of one worker, which also drew the stream
         assert helper.draws == cfg.stream.batches
@@ -632,46 +628,41 @@ class TestLossHelper:
     @pytest.mark.parametrize("cfg", one_of_each_policy(), ids=["sdae", "midae", "radae"])
     def test_a_desk_sized_run_submits_nothing(self, monkeypatch, cfg):
         helper = LossHelper(monkeypatch)
-        handed = []
-        real_finetune = harness.finetune
-
-        def spying(net, batch, *args, **kwargs):
-            handed.append(kwargs["helper"])
-            return real_finetune(net, batch, *args, **kwargs)
-
-        monkeypatch.setattr(harness, "finetune", spying)
         run_experiment(cfg)
         # the wrapped executor drew every batch, and took no loss job
         assert helper.workers == [1] and helper.draws == cfg.stream.batches
         assert helper.submits == {}
-        assert handed == [None] * cfg.stream.batches  # each fine-tune runs its whole backward inline
 
     @pytest.mark.parametrize("policy", ["sdae", "radae"])
-    def test_a_wide_fine_tune_sees_one_worker_the_one_that_runs_its_label_backward(self, monkeypatch, policy):
+    def test_a_wide_fine_tune_sees_one_worker_and_runs_one_encoder_backward_on_the_loop(self, monkeypatch, policy):
         cfg = wide_config(policy)
+        assert cfg.stream.batch_size * cfg.stream.dims > network.CE_BLOCK_ELEMENTS  # every batch is wide
+        assert cfg.nn.hybrid_weight != 0.0
         before = set(threading.enumerate())
         real_finetune, real_backward = harness.finetune, network._encoder_backward
-        alive, backward_threads = [], set()
+        alive, backward_threads, per_finetune = [], [], []
 
-        def spying(net, batch, *args, **kwargs):
-            assert kwargs["helper"] is not None  # every batch is wide
+        def spying(net, batch, *args):
             alive.append([t for t in threading.enumerate() if t not in before])
-            return real_finetune(net, batch, *args, **kwargs)
+            start = len(backward_threads)
+            real_finetune(net, batch, *args)
+            per_finetune.append(len(backward_threads) - start)
+            return net
 
         def noting(*args):
-            backward_threads.add(threading.current_thread())
+            backward_threads.append(threading.current_thread())
             return real_backward(*args)
 
         monkeypatch.setattr(harness, "finetune", spying)
         monkeypatch.setattr(network, "_encoder_backward", noting)
         run_experiment(cfg)
-        assert len(alive) == cfg.stream.batches
-        # no thread but the run's one worker was started, and it ran every
-        # label backward that did not run on the loop's thread (radae's pool
-        # fine-tunes and increments run theirs inline)
+        # no thread but the run's one worker was started; each batch's
+        # fine-tune ran one encoder backward, and every encoder backward,
+        # radae's pool fine-tunes' included, ran on the loop's thread
+        assert per_finetune == [1] * cfg.stream.batches
         (worker,) = alive[0]
         assert all(threads == [worker] for threads in alive)
-        assert backward_threads - {threading.current_thread()} == {worker}
+        assert set(backward_threads) == {threading.current_thread()}
         assert not worker.is_alive()
 
 
