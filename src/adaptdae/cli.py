@@ -80,8 +80,14 @@ def _cmd_run(args) -> int:
         seen.add(key)
         if problems:
             return _report_problems(args.config, problems)
-    for run_cfg in runs:
-        out = _suffixed(base_out, run_cfg.policy, run_cfg.seed) if len(runs) > 1 and base_out else base_out
+    outs = [_suffixed(base_out, c.policy, c.seed) if len(runs) > 1 and base_out else base_out for c in runs]
+    # and every trace path, opened as the trace will be: exit 1 then also means that nothing ran
+    for out in filter(None, outs):
+        existed = os.path.lexists(out)
+        open(out, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(out)
+    for run_cfg, out in zip(runs, outs):
         result = run_experiment(run_cfg, out_path=out)
         where = f" -> {result.trace_path}" if result.trace_path else ""
         print(_fmt_summary(f"policy={run_cfg.policy} seed={run_cfg.seed}", result.summary) + where)

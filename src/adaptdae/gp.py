@@ -47,9 +47,12 @@ LENGTH_GRID = np.geomspace(0.05, 5.0, 7)
 GRID = tuple((float(s), float(l)) for s in SIGMA_GRID for l in LENGTH_GRID)
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of two point sets, clipped at 0."""
-    sq = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * (A @ B.T)
+def _sq_dists(A: np.ndarray, B: np.ndarray, B_sq_norms: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances between the rows of two point sets, clipped at 0;
+    ``B_sq_norms`` is ``B``'s half, ``np.sum(B**2, axis=1)``, if known."""
+    if B_sq_norms is None:
+        B_sq_norms = np.sum(B**2, axis=1)
+    sq = np.sum(A**2, axis=1)[:, None] + B_sq_norms[None, :] - 2.0 * (A @ B.T)
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -206,17 +209,12 @@ def fit(
 
 
 def predict_mean(model: GprModel, x: np.ndarray) -> float:
-    """Posterior mean at one query point."""
+    """Posterior mean at one query point; the training half of its distances is the model's."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     X = model.train_inputs
     if x.shape[0] != X.shape[1]:
         raise ValueError("query dimensionality does not match training inputs")
-    # kernel_matrix(x[None, :], X, ...)[0], with _sq_dists' operations in
-    # its order and X's half read from the model
-    q = x[None, :]
-    sq = np.sum(q**2, axis=1)[:, None] + model.train_sq_norms[None, :] - 2.0 * (q @ X.T)
-    np.maximum(sq, 0.0, out=sq)
-    k_star = _decay(sq, model.length_scale)[0]
+    k_star = _decay(_sq_dists(x[None, :], X, model.train_sq_norms), model.length_scale)[0]
     k_star *= model.sigma_f**2
     return float(k_star @ model.alpha_vec) + model.target_mean
 

@@ -44,7 +44,7 @@ from .network import (
     pretrain_layer,
 )
 from .pools import PoolSet, update_diverse, update_recent
-from .stream import LabeledSource, StreamSpec, iter_stream, load_idx, split_source, synth_dataset
+from .stream import StreamSpec, iter_stream, load_idx, split_source, synth_dataset
 from .structure import ActionKind, increment_nodes, merge_nodes, pool_finetune
 
 
@@ -151,31 +151,27 @@ def _resolved(l_gen: float | Future, index: int) -> float:
     return l_gen
 
 
-def eval_global(net: Network, test_inputs: np.ndarray, test_labels: np.ndarray) -> float:
-    """Mean classification error over the held-out test set; NaN when the
-    read-out is not finite, since argmax of a NaN row still names a class."""
+def eval_global(net: Network, test_inputs: np.ndarray, test_labels: np.ndarray, index: int) -> float:
+    """Mean classification error over the held-out test set after batch
+    ``index``; raises if the read-out is not finite, where argmax would still name a class."""
     if test_inputs.shape[0] == 0:
         raise ValueError("test set is empty")
     y_hat = predict(net, test_inputs)
     if not np.isfinite(y_hat).all():
-        return math.nan
+        raise NumericalBreakdown(f"batch {index}: held-out read-out is not finite")
     return class_error(y_hat, test_labels)
-
-
-def _build_source(cfg: ExperimentConfig, rng: np.random.Generator) -> LabeledSource:
-    if cfg.kind == "idx":
-        return load_idx(cfg.images, cfg.labels)
-    return synth_dataset(cfg.stream.classes, cfg.stream.dims, cfg.per_class, rng, cfg.spread)
 
 
 def _open_stream(cfg: ExperimentConfig) -> tuple[StreamSpec, Iterator[DataBatch], np.ndarray, np.ndarray]:
     """The stream spec, the batch iterator and the test split; a pure
     function of the seed, so every policy sees identical data."""
     stream_rng = np.random.default_rng([cfg.seed, 0])
-    source = _build_source(cfg, stream_rng)
-    spec = cfg.stream
     if cfg.kind == "idx":
-        spec = replace(spec, classes=source.classes, dims=source.dims)
+        source = load_idx(cfg.images, cfg.labels)
+        spec = replace(cfg.stream, classes=source.classes, dims=source.dims)
+    else:
+        source = synth_dataset(cfg.stream.classes, cfg.stream.dims, cfg.per_class, stream_rng, cfg.spread)
+        spec = cfg.stream
     train_source, test_x, test_y = split_source(source, cfg.test_fraction, stream_rng)
     return spec, iter_stream(train_source, spec, stream_rng), test_x, test_y
 
@@ -196,13 +192,14 @@ def prepare_data(cfg: ExperimentConfig):
 # 8 MiB holds one such batch fewer than 16 MiB did (BENCH_24.json).
 PREFETCH_BYTES = 8 << 20
 
-# glibc gives the free top of its heap back to the system once it exceeds
-# twice the mmap threshold, and raises that threshold to the size of any
-# mmapped block freed, up to 32 MiB (mallopt(3), "dynamic mmap threshold").
-# At 1000 x 784 the loop's 6.3 MB temporaries passed that line after every
-# batch, so the loop faulted their pages in afresh each time.  Freeing one
-# mmapped block just under the cap lets the heap keep them; elsewhere this
-# is one allocation and nothing more.
+# glibc maps a block above its mmap threshold (128 KiB at first) on its own
+# and unmaps it when freed; freeing a mapped block raises the threshold to its
+# size, up to 32 MiB, and the heap's trim threshold to twice that (mallopt(3)).
+# One block freed just under the cap keeps a run's arrays on the heap.  Without
+# it midae-switch, whose growing widths take its arrays past 128 KiB, ran its
+# loop in 226 ms against 188 ms, with 10.0 k minor faults against 2.7 k (medians
+# of 10 alternating fresh processes, 2 vCPUs); sdae-wide's loop ran as fast
+# either way, though with 15.8 k minor faults against 7.6 k.
 _MMAP_THRESHOLD_RAISE = 31 << 20
 
 
@@ -349,9 +346,7 @@ def _run_batches(
             e_lcl = next_eval[1]
         else:
             e_lcl = None
-        e_glb = eval_global(net, test_x, test_y)
-        if math.isnan(e_glb):  # the last batch has no upcoming evaluation to catch it
-            raise NumericalBreakdown(f"batch {n}: held-out read-out is not finite")
+        e_glb = eval_global(net, test_x, test_y, n)
         wall_ms = (time.perf_counter() - t0) * 1000.0
 
         yield TraceRecord(

@@ -236,13 +236,10 @@ def init_network(
     """Build a freshly initialised network with the given hidden widths."""
     if not widths:
         raise ValueError("need at least one hidden layer")
-    layers = []
-    fan_in = n_input
-    for w in widths:
-        layers.append(init_layer(w, fan_in, rng))
-        fan_in = w
-    limit = glorot_limit(fan_in, n_classes)
-    out_W = rng.uniform(-limit, limit, size=(n_classes, fan_in))
+    fans = (n_input, *widths)  # each layer's input width, then the read-out's
+    layers = [init_layer(w, fan_in, rng) for fan_in, w in zip(fans, widths)]
+    limit = glorot_limit(fans[-1], n_classes)
+    out_W = rng.uniform(-limit, limit, size=(n_classes, fans[-1]))
     net = Network(
         layers=layers,
         out_W=out_W,
@@ -420,8 +417,7 @@ def _reconstruction_grads(
     encoder backward serves both losses.
     """
     du /= du.shape[0]
-    if weight != 1.0:
-        du *= weight
+    du *= weight
     # walk the decode chain back up; du is the pre-sigmoid gradient at each level
     dec = []
     for i, (layer, h) in enumerate(zip(layers, dec_in)):

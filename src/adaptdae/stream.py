@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gp
 from .network import DataBatch, in_unit_interval
-from .ranges import out_of_range, within
+from .ranges import inside, out_of_range, within
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -45,6 +45,10 @@ class StreamSpec:
 
     def validate(self) -> None:
         problems = out_of_range(self, "stream.{}".format)
+        # a switch stream that flips at or past its last batch never switches
+        if self.mode == "switch" and self.switch_at is not None and inside(self, "switch_at", "batches"):
+            if self.switch_at >= self.batches:
+                problems.append("stream.switch_at must be below stream.batches in switch mode")
         if problems:
             raise ValueError(*problems)
 

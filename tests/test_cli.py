@@ -157,6 +157,41 @@ class TestRuntimeFailures:
         assert [r.batch for r in read_trace(str(out))] == [0, 1, 2, 3, 4]
 
 
+    @pytest.fixture
+    def finetunes(self, monkeypatch):
+        calls = []
+        real_finetune = harness.finetune
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].seq_id)
+            return real_finetune(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "finetune", counted)
+        return calls
+
+    def test_an_unwritable_trace_fails_the_run_before_its_first_batch(self, config_path, tmp_path, capsys, finetunes):
+        out = tmp_path / "no" / "such" / "dir" / "t.csv"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert finetunes == []
+
+    def test_an_unwritable_later_trace_stops_every_run_before_it_starts(self, config_path, tmp_path, capsys, finetunes):
+        # seed 1's trace can be written and seed 2's cannot: exit 1 before the first run
+        (tmp_path / "t_sdae_s2.csv").mkdir()
+        out = tmp_path / "t.csv"
+        assert main(["run", "--config", config_path, "--seed", "1", "2", "--out", str(out)]) == 1
+        assert "t_sdae_s2.csv" in capsys.readouterr().err
+        assert finetunes == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "t_sdae_s2.csv"]
+
+    def test_the_trace_check_leaves_an_earlier_trace_as_it_was(self, config_path, tmp_path, finetunes):
+        (tmp_path / "t_sdae_s1.csv").write_text("rows\n")
+        (tmp_path / "t_sdae_s2.csv").mkdir()
+        assert main(["run", "--config", config_path, "--seed", "1", "2", "--out", str(tmp_path / "t.csv")]) == 1
+        assert finetunes == []
+        assert (tmp_path / "t_sdae_s1.csv").read_text() == "rows\n"
+
+
 class TestValidate:
     def test_good_config(self, config_path, capsys):
         assert main(["validate", "--config", config_path]) == 0
@@ -168,6 +203,18 @@ class TestValidate:
         assert main(["validate", "--config", str(bad)]) == 2
         assert "pool.capacity" in capsys.readouterr().err
 
+
+    def test_a_switch_stream_that_never_switches_exits_2_and_nothing_runs(self, config_path, tmp_path, capsys):
+        # 8 batches: a flip at batch 50 would pass unseen
+        with open(config_path, "a") as f:
+            f.write("stream.mode = switch\nstream.switch_at = 50\n")
+        message = f"{config_path}: stream.switch_at must be below stream.batches in switch mode\n"
+        assert main(["validate", "--config", config_path]) == 2
+        assert capsys.readouterr().err == message
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "line, message",

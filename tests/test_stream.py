@@ -1,6 +1,7 @@
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,6 +184,16 @@ class TestBuildStream:
         assert early[0] == pytest.approx(0.9, abs=1e-12)
         assert late[1] + late[2] == pytest.approx(0.9, abs=1e-12)
 
+    @pytest.mark.parametrize("switch_at", [10, 50])
+    def test_a_switch_stream_that_never_switches_is_rejected(self, switch_at):
+        spec = StreamSpec(classes=3, dims=6, batches=10, mode="switch", switch_at=switch_at)
+        with pytest.raises(ValueError, match=r"^stream.switch_at must be below stream.batches in switch mode$"):
+            spec.validate()
+        # the last batch can still flip, and the other modes never read switch_at
+        replace(spec, switch_at=9).validate()
+        replace(spec, mode="nonstationary").validate()
+        replace(spec, mode="stationary").validate()
+
     @pytest.mark.parametrize("bad", [2.0, np.nan, -0.5])
     def test_a_store_value_outside_the_unit_interval_is_rejected(self, bad):
         # a stream of such a source yields batches that DataBatch.validate
@@ -263,7 +274,21 @@ def stream_cases(draw):
     return source, spec
 
 
+def never_switches(spec):
+    """Whether ``spec`` is a switch stream that flips at or past its last batch."""
+    return spec.mode == "switch" and spec.switch_at is not None and spec.switch_at >= spec.batches
+
+
+def assert_rejected_as_never_switching(source, spec):
+    for draw in (iter_stream, build_stream, reference_build_stream):
+        with pytest.raises(ValueError, match="stream.switch_at must be below stream.batches"):
+            draw(source, spec, np.random.default_rng(spec.seed))
+
+
 def assert_equals_the_reference(source, spec, materialise):
+    if never_switches(spec):
+        assert_rejected_as_never_switching(source, spec)
+        return
     rng, reference_rng = np.random.default_rng(spec.seed), np.random.default_rng(spec.seed)
     expected = reference_build_stream(source, spec, reference_rng)
     got = build_stream(source, spec, rng) if materialise else list(iter_stream(source, spec, rng))
@@ -311,6 +336,9 @@ class TestIterStream:
     @given(case=stream_cases())
     def test_batches_share_no_memory(self, case):
         source, spec = case
+        if never_switches(spec):
+            assert_rejected_as_never_switching(source, spec)
+            return
         batches = iter_stream(source, spec, np.random.default_rng(spec.seed))
         kept, unwritten = [], {}
         for batch in batches:

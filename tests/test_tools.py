@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 
-from adaptdae.config import parse_config, validate_experiment
+from adaptdae.config import format_config, parse_config, validate_experiment
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -118,6 +118,9 @@ def test_claims_report_shape_on_two_seeds(claims, capsys):
             "stationary_increments",
             "stationary_e_glb_mean",
             "switch_window",
+            "action_mix",
+            "ablations",
+            "midae_pool_threshold",
         }
         for errors in (row["e_glb_mean"], row["stationary_e_glb_mean"]):
             assert set(errors) == {"sdae", "midae", "radae"}
@@ -136,6 +139,22 @@ def test_claims_report_shape_on_two_seeds(claims, capsys):
         assert window["headroom"] >= 0
         if not grew:
             assert window["why"] in claims.WHY
+        # radae's actions from rl.greedy_after = 60 on, of 300 batches
+        assert list(row["action_mix"]) == ["nonstationary", "stationary"]
+        for mix in row["action_mix"].values():
+            assert list(mix) == ["pool", "width_changed", "sized_0"] and sum(mix.values()) == 240
+        assert list(row["ablations"]) == ["pool_always", "random_actions"]
+        for ablation in row["ablations"].values():
+            assert set(ablation) == {"e_glb_mean", "stationary_e_glb_mean", "switch_increments"}
+            assert 0 <= ablation["switch_increments"] <= 20
+        assert row["ablations"]["pool_always"]["switch_increments"] == 0  # it never increments
+        assert list(row["midae_pool_threshold"]) == ["500", "4500"]
+        variants = [*row["ablations"].values(), *row["midae_pool_threshold"].values()]
+        for variant in variants:
+            for key in ("e_glb_mean", "stationary_e_glb_mean"):
+                assert 0.0 <= variant[key] <= 1.0
+                # a variant runs a config of its own
+                assert variant[key] not in row[key].values()
     summary = report["summary"]
     assert summary == claims.summarise(rows)
     stationary = summary["stationary_e_glb"]
@@ -158,6 +177,47 @@ def test_claims_report_shape_on_two_seeds(claims, capsys):
     assert math.isclose(stationary["radae_minus_sdae"]["mean"], sum(e["radae"] - e["sdae"] for e in flat) / 2)
     assert len(summary["gate_chance"]) == 3
     assert all(0.0 <= p <= 1.0 for p in summary["gate_chance"].values())
+    # each variant against sdae and against its own policy, on each desk stream
+    references = {**{name: "radae" for name in claims.ABLATIONS}, **{f"midae_{k}": "midae" for k in (500, 4500)}}
+    compared = {**summary["ablations"], **{f"midae_{k}": v for k, v in summary["midae_pool_threshold"].items()}}
+    assert list(compared) == list(references)
+    for name, reference in references.items():
+        for stream in ("nonstationary", "stationary"):
+            part = compared[name][stream]
+            assert list(part) == [
+                f"{name}_below_sdae",
+                f"{name}_at_or_below_{reference}",
+                f"{name}_minus_sdae",
+                f"{name}_minus_{reference}",
+            ]
+            assert part[f"{name}_below_sdae"] in (0, 1, 2) and part[f"{name}_minus_sdae"]["se"] >= 0.0
+    for name in claims.ABLATIONS:
+        assert set(summary["ablations"][name]) == {"nonstationary", "stationary", "responders", "switch_increments_mean"}
+    pool_always = [row["ablations"]["pool_always"]["e_glb_mean"] for row in rows]
+    nonstationary = summary["ablations"]["pool_always"]["nonstationary"]
+    assert nonstationary["pool_always_below_sdae"] == sum(p < row["e_glb_mean"]["sdae"] for p, row in zip(pool_always, rows))
+    assert math.isclose(
+        nonstationary["pool_always_minus_radae"]["mean"],
+        sum(p - row["e_glb_mean"]["radae"] for p, row in zip(pool_always, rows)) / 2,
+    )
+    assert summary["ablations"]["pool_always"]["responders"] == 0
+    for stream, shares in summary["action_mix"].items():
+        counts = [row["action_mix"][stream] for row in rows]
+        assert shares == {kind: sum(c[kind] for c in counts) / 480 for kind in ("pool", "width_changed", "sized_0")}
+
+
+def test_claims_variants_change_only_their_keys(claims):
+    acceptance = claims._load(Path(__file__).resolve().parent / "test_acceptance.py", "claims_acceptance")
+    cfg = acceptance.desk_config("radae", 1)
+    before = set(format_config(cfg).splitlines())
+
+    def changed(variant):
+        return sorted(set(format_config(variant).splitlines()) - before)
+
+    assert changed(claims.pool_always(cfg)) == ["rl.greedy_after = 301", "rl.warmup_batches = 300"]
+    assert changed(claims.random_actions(cfg)) == ["rl.epsilon = 1.0"]
+    assert validate_experiment(claims.pool_always(cfg)) == []
+    assert format_config(cfg) == format_config(acceptance.desk_config("radae", 1))  # left as it was
 
 
 class Record:

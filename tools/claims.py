@@ -24,16 +24,33 @@ width)`` minus the window's largest width.  A seed that did not grow in
 the window, a non-responder, also gets a ``why``, by this rule: "corridor
 full" if the headroom is 0; otherwise "increment never preferred" if
 ``q_increment`` was never the largest; otherwise "sized to 0".
+It also records what radae's controller buys, without tuning anything:
+``action_mix`` counts radae's actions on both desk streams from
+``rl.greedy_after`` on (pools, increments and merges that changed the
+width, and those sized to 0); ``ablations`` runs radae with pool on every
+batch (``rl.warmup_batches = stream.batches``, ``rl.greedy_after =
+stream.batches + 1``) and with uniform random actions (``rl.epsilon =
+1.0``) on both desk streams and the switch stream; and
+``midae_pool_threshold`` runs midae on both desk streams at
+``midae.pool_threshold`` 500 and 4500, on each side of the desk setting
+(``pool.capacity``, 1500).  Every variant is the gate's config changed by
+``dataclasses.replace`` only.
 ``summary`` holds the sign counts (radae below sdae, radae at or below
 midae, midae above sdae, seeds that grew after the switch), the mean
 paired differences with their standard errors, the count of each
 ``why``, and, for each of the gate's count thresholds on 5 seeds, the
 chance that 5 seeds drawn at the measured rate meet it;
 ``stationary_e_glb`` holds the same sign counts and differences on the
-stationary desk stream.  ``machine`` is the host and library versions.
-One BLAS thread, as the benchmark uses.  20 seeds took 103 s on a
-2-vCPU Intel Xeon host (AVX-512, OpenBLAS's SkylakeX kernels).  To judge
-a trace-changing change, run it on both checkouts:
+stationary desk stream.  Its ``ablations`` and ``midae_pool_threshold``
+compare each variant with sdae and with radae or midae on each desk
+stream by the same ``compare``, and count each ablation's switch
+responders; its ``action_mix`` gives each kind's share of the batches.
+``machine`` is the host and library versions.  One BLAS thread, as the
+benchmark uses.  20 seeds took 215 s on a 2-vCPU Intel Xeon host
+(AVX-512, OpenBLAS's SkylakeX kernels), and the 2-seed smoke test in
+``tests/test_tools.py`` 24 s, 15 s more than before the ablations, the
+action mix and the midae rows.  To judge a trace-changing change, run it
+on both checkouts:
 
     git archive PARENT | tar -x -C ../parent
     python3 tools/claims.py --root ../parent > parent.json
@@ -48,6 +65,7 @@ import math
 import statistics
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from trace_digests import ROOT, _load  # tools/ is first on sys.path when run as a script
@@ -87,9 +105,46 @@ def switch_window(records, cfg) -> dict:
     return row
 
 
+def pool_always(cfg):
+    """radae with pool on every batch: the warm-up covers the whole stream."""
+    batches = cfg.stream.batches
+    return replace(cfg, rl=replace(cfg.rl, warmup_batches=batches, greedy_after=batches + 1))
+
+
+def random_actions(cfg):
+    """radae choosing uniformly among the three actions once greedy, sized as before."""
+    return replace(cfg, rl=replace(cfg.rl, epsilon=1.0))
+
+
+ABLATIONS = {"pool_always": pool_always, "random_actions": random_actions}
+# each desk stream, by the row key of its errors
+STREAMS = {"nonstationary": "e_glb_mean", "stationary": "stationary_e_glb_mean"}
+# midae's hard-pool threshold on each side of the desk setting, pool.capacity = 1500
+POOL_THRESHOLDS = (500, 4500)
+
+
+def action_mix(records, cfg) -> dict:
+    """radae's actions from ``rl.greedy_after`` on: pools, increments and
+    merges that changed the width, and those sized to 0."""
+    late = records[cfg.rl.greedy_after :]
+    return {
+        "pool": sum(r.action == "pool" for r in late),
+        "width_changed": sum(r.action != "pool" and r.delta != 0 for r in late),
+        "sized_0": sum(r.action != "pool" and r.delta == 0 for r in late),
+    }
+
+
 def seed_row(acceptance, run_experiment, seed: int) -> dict:
+    desk = {mode: acceptance.desk_config("radae", seed, mode=mode) for mode in STREAMS}
+    runs = {mode: {p: run_experiment(replace(cfg, policy=p)) for p in POLICIES} for mode, cfg in desk.items()}
+
     def errors(mode: str) -> dict:
-        return {p: run_experiment(acceptance.desk_config(p, seed, mode=mode)).summary.e_glb_mean for p in POLICIES}
+        return {p: run.summary.e_glb_mean for p, run in runs[mode].items()}
+
+    def varied(change, policy="radae") -> dict:
+        """``e_glb_mean`` on both desk streams of ``policy``, with ``change`` made to its config."""
+        cfgs = {key: change(replace(desk[mode], policy=policy)) for mode, key in STREAMS.items()}
+        return {key: run_experiment(cfg).summary.e_glb_mean for key, cfg in cfgs.items()}
 
     switch_cfg = acceptance.switch_config(seed, "switch")
     switched = run_experiment(switch_cfg).records
@@ -101,6 +156,15 @@ def seed_row(acceptance, run_experiment, seed: int) -> dict:
         "stationary_increments": growth(flat),
         "stationary_e_glb_mean": errors("stationary"),
         "switch_window": switch_window(switched, switch_cfg),
+        "action_mix": {mode: action_mix(runs[mode]["radae"].records, cfg) for mode, cfg in desk.items()},
+        "ablations": {
+            name: {**varied(change), "switch_increments": growth(run_experiment(change(switch_cfg)).records)}
+            for name, change in ABLATIONS.items()
+        },
+        "midae_pool_threshold": {
+            str(k): varied(lambda cfg: replace(cfg, midae=replace(cfg.midae, pool_threshold=k)), "midae")
+            for k in POOL_THRESHOLDS
+        },
     }
 
 
@@ -114,21 +178,50 @@ def at_least(k: int, n: int, p: float) -> float:
     return sum(math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(k, n + 1))
 
 
-def compare(errors: list[dict]) -> tuple[dict, dict]:
+def compare(errors: list[dict], a: str = "radae", b: str = "sdae", c: str = "midae") -> tuple[dict, dict]:
     """The sign counts and the mean paired differences over seeds, from
-    each seed's ``e_glb_mean`` per policy."""
-    pairs = [(e["radae"], e["sdae"], e["midae"]) for e in errors]
+    each seed's ``e_glb_mean`` by name: ``a`` against ``b`` and ``c``, and
+    ``c`` against ``b``."""
+    pairs = [(e[a], e[b], e[c]) for e in errors]
     counts = {
-        "radae_below_sdae": sum(bool(r < s) for r, s, _ in pairs),
-        "radae_at_or_below_midae": sum(bool(r <= m) for r, _, m in pairs),
-        "midae_above_sdae": sum(bool(m > s) for _, s, m in pairs),
+        f"{a}_below_{b}": sum(bool(r < s) for r, s, _ in pairs),
+        f"{a}_at_or_below_{c}": sum(bool(r <= m) for r, _, m in pairs),
+        f"{c}_above_{b}": sum(bool(m > s) for _, s, m in pairs),
     }
     differences = {
-        "radae_minus_sdae": paired([r - s for r, s, _ in pairs]),
-        "radae_minus_midae": paired([r - m for r, _, m in pairs]),
-        "midae_minus_sdae": paired([m - s for _, s, m in pairs]),
+        f"{a}_minus_{b}": paired([r - s for r, s, _ in pairs]),
+        f"{a}_minus_{c}": paired([r - m for r, _, m in pairs]),
+        f"{c}_minus_{b}": paired([m - s for _, s, m in pairs]),
     }
     return counts, differences
+
+
+def versus(rows: list[dict], variant: str, errors: list[dict], reference: str) -> dict:
+    """``variant``, with ``errors`` its per-seed rows, against sdae and
+    ``reference`` on each desk stream, by ``compare``."""
+    out = {}
+    for stream, key in STREAMS.items():
+        seeds = [{**r[key], variant: e[key]} for r, e in zip(rows, errors)]
+        counts, differences = compare(seeds, variant, "sdae", reference)
+        out[stream] = {k: v for k, v in {**counts, **differences}.items() if k.startswith(variant)}
+    return out
+
+
+def mix_shares(mixes: list[dict]) -> dict:
+    """Each kind's share of all the seeds' batches in ``mixes``."""
+    total = sum(sum(mix.values()) for mix in mixes)
+    return {kind: sum(mix[kind] for mix in mixes) / total for kind in mixes[0]}
+
+
+def ablation(rows: list[dict], name: str) -> dict:
+    """The ablation ``name`` against sdae and radae, and its switch responders."""
+    runs = [r["ablations"][name] for r in rows]
+    switch = [run["switch_increments"] for run in runs]
+    return {
+        **versus(rows, name, runs, "radae"),
+        "responders": sum(c >= 1 for c in switch),
+        "switch_increments_mean": statistics.fmean(switch),
+    }
 
 
 def summarise(rows: list[dict]) -> dict:
@@ -149,6 +242,12 @@ def summarise(rows: list[dict]) -> dict:
         },
         "stationary_e_glb": {**stationary_counts, **stationary_differences},
         "why": {reason: why[reason] for reason in WHY},
+        "ablations": {name: ablation(rows, name) for name in ABLATIONS},
+        "action_mix": {stream: mix_shares([r["action_mix"][stream] for r in rows]) for stream in STREAMS},
+        "midae_pool_threshold": {
+            str(k): versus(rows, f"midae_{k}", [r["midae_pool_threshold"][str(k)] for r in rows], "midae")
+            for k in POOL_THRESHOLDS
+        },
     }
 
 
