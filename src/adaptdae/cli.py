@@ -8,7 +8,7 @@ import sys
 from dataclasses import replace
 
 from .config import POLICIES, ConfigError, ExperimentConfig, load_config, validate_experiment
-from .harness import replay_summary, run_experiment
+from .harness import check_trace_path, replay_summary, run_experiment
 
 
 def _positive_int(text: str) -> int:
@@ -81,12 +81,9 @@ def _cmd_run(args) -> int:
         if problems:
             return _report_problems(args.config, problems)
     outs = [_suffixed(base_out, c.policy, c.seed) if len(runs) > 1 and base_out else base_out for c in runs]
-    # and every trace path, opened as the trace will be: exit 1 then also means that nothing ran
+    # and every trace path: exit 1 then also means that nothing ran
     for out in filter(None, outs):
-        existed = os.path.lexists(out)
-        open(out, "a", encoding="utf-8").close()
-        if not existed:
-            os.remove(out)
+        check_trace_path(out)
     for run_cfg, out in zip(runs, outs):
         result = run_experiment(run_cfg, out_path=out)
         where = f" -> {result.trace_path}" if result.trace_path else ""

@@ -214,7 +214,6 @@ class QModel:
         self.table: dict = {}
         self.observations = {a: deque(maxlen=max_observations) for a in ACTIONS}
         self.curves = {a: None for a in ACTIONS}
-        self.hyperparams = {a: (1.0, 1.0) for a in ACTIONS}
         self.noise_var = noise_var
         self._stale = {a: False for a in ACTIONS}
         self._full_refits = {a: 0 for a in ACTIONS}
@@ -245,7 +244,7 @@ class QModel:
         of an action with at least 2 observations while its window fills.
         Once the window is full, only the 1st, 6th, 11th, ... full-window
         refit of that action re-tunes (one in ``RETUNE_EVERY``); the others
-        fit with the action's kept hyperparameters.
+        fit with the hyperparameters of the action's curve.
         """
         refitted = []
         for action in ACTIONS:
@@ -255,13 +254,12 @@ class QModel:
             X = np.vstack([o[0] for o in obs])
             y = np.asarray([o[1] for o in obs])
             full = len(obs) == obs.maxlen
+            curve = self.curves[action]
+            kept = (1.0, 1.0) if curve is None else (curve.sigma_f, curve.length_scale)
             if len(obs) >= 2 and (not full or self._full_refits[action] % RETUNE_EVERY == 0):
-                self.hyperparams[action] = gp.optimize_hyperparams(
-                    X, y, noise_var=self.noise_var, initial=self.hyperparams[action]
-                )
+                kept = gp.optimize_hyperparams(X, y, noise_var=self.noise_var, initial=kept)
             self._full_refits[action] += full
-            sigma_f, length_scale = self.hyperparams[action]
-            self.curves[action] = gp.fit(X, y, sigma_f, length_scale, self.noise_var)
+            self.curves[action] = gp.fit(X, y, *kept, self.noise_var)
             self._stale[action] = False
             refitted.append(action)
         return refitted
@@ -297,10 +295,8 @@ def q_update(
 
 
 def select_action(q_values: dict, n: int, cfg: ControllerConfig, rng: np.random.Generator) -> ActionKind:
-    """Pool during warmup, fixed rotation while sampling, then epsilon-greedy
-    over ``q_values``, the utility of each action in the current state."""
-    if n < cfg.warmup_batches:
-        return ActionKind.POOL
+    """Past warmup: fixed rotation while sampling, then epsilon-greedy over
+    ``q_values``, the utility of each action in the current state."""
     if n < cfg.greedy_after:
         return ROTATION[(n - cfg.warmup_batches) % 3]
     if rng.random() < cfg.epsilon:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 import time
 from collections import deque
 from collections.abc import Iterator
@@ -203,15 +204,27 @@ PREFETCH_BYTES = 8 << 20
 _MMAP_THRESHOLD_RAISE = 31 << 20
 
 
+def check_trace_path(path: str) -> None:
+    """Open ``path`` for appending, as the trace will be, then remove any file
+    that this made: a trace that cannot be written raises here, before a run."""
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
+
+
 def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunResult:
     """Run one policy over one stream and emit the trace.
 
-    ``out_path`` overrides ``cfg.out``; pass an empty string to skip the
-    trace file.  A run that raises writes the rows it finished, then re-raises.
+    ``out_path`` overrides ``cfg.out``; an empty string skips the trace.  The
+    path is checked first; a run that raises writes its rows, then re-raises.
     """
     problems = validate_experiment(cfg)
     if problems:
         raise ValueError("; ".join(problems))
+    path = cfg.out if out_path is None else out_path
+    if path:
+        check_trace_path(path)
 
     np.empty(_MMAP_THRESHOLD_RAISE, dtype=np.uint8)  # freed at once: see above
     spec, batches, test_x, test_y = _open_stream(cfg)
@@ -234,7 +247,6 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> RunRes
                 yield batch
 
         records: list[TraceRecord] = []
-        path = cfg.out if out_path is None else out_path
         try:
             for record in _run_batches(cfg, spec, in_order(), test_x, test_y, worker):
                 records.append(record)

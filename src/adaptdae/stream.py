@@ -39,16 +39,21 @@ class StreamSpec:
     mode: str = field(default="nonstationary", metadata=within("{stationary, nonstationary, switch}"))
     gp_length_scale: float | None = field(default=None, metadata=within("(0, inf)"))  # defaults to batches / 10
     mask_noise: float = field(default=0.1, metadata=within("[0, 1]"))
-    switch_at: int | None = field(default=None, metadata=within("[0, inf)"))  # switch mode: batch index of the flip
+    switch_at: int | None = field(default=None, metadata=within("[0, inf)"))  # switch mode: see flip()
     skew: float = field(default=0.9, metadata=within("(0, 1)"))  # switch mode: mass on the favoured classes
     seed: int = 0
 
+    def flip(self) -> int:
+        """Switch mode: the first batch with the post-switch ratios."""
+        return self.switch_at if self.switch_at is not None else self.batches // 2
+
     def validate(self) -> None:
         problems = out_of_range(self, "stream.{}".format)
-        # a switch stream that flips at or past its last batch never switches
-        if self.mode == "switch" and self.switch_at is not None and inside(self, "switch_at", "batches"):
-            if self.switch_at >= self.batches:
-                problems.append("stream.switch_at must be below stream.batches in switch mode")
+        # a flip at batch 0, or at or past the last batch, never switches
+        if self.mode == "switch" and inside(self, "switch_at", "batches") and not 0 < self.flip() < self.batches:
+            problems.append(
+                f"stream.switch_at must be in [1, stream.batches) in switch mode, got a flip at {self.flip()}"
+            )
         if problems:
             raise ValueError(*problems)
 
@@ -161,11 +166,7 @@ def _ratio_schedule(spec: StreamSpec, rng: np.random.Generator) -> np.ndarray:
         return np.full((spec.batches, spec.classes), 1.0 / spec.classes)
     if spec.mode == "switch":
         pre, post = _switch_ratios(spec.classes, spec.skew)
-        flip = spec.switch_at if spec.switch_at is not None else spec.batches // 2
-        out = np.empty((spec.batches, spec.classes))
-        out[:flip] = pre
-        out[flip:] = post
-        return out
+        return np.where((np.arange(spec.batches) < spec.flip())[:, None], pre, post)
     length_scale = spec.gp_length_scale if spec.gp_length_scale else spec.batches / 10.0
     curves = gp_sample_curves(spec.classes, spec.batches, length_scale, rng)
     return np.vstack([class_ratios(curves, t) for t in range(spec.batches)])
@@ -198,20 +199,10 @@ def iter_stream(
     # this copy, not the source
     pooled = np.concatenate(source.examples, axis=0, dtype=np.float64)
     ends = np.cumsum([store.shape[0] for store in source.examples]).tolist()
-    return _draw_batches(pooled, list(zip([0] + ends, ends)), spec, counts, rng)
-
-
-def _draw_batches(
-    pooled: np.ndarray,
-    class_rows: list[tuple[int, int]],
-    spec: StreamSpec,
-    counts: np.ndarray,
-    rng: np.random.Generator,
-) -> Iterator[DataBatch]:
+    class_rows = list(zip([0] + ends, ends))
     eye = np.eye(spec.classes)
-    for t, batch_counts in enumerate(counts):
-        # drawn in a call of its own, so nothing of a batch outlives its draw here
-        yield _draw_batch(t, pooled, class_rows, spec, batch_counts, eye, rng)
+    # each batch is drawn in a call of its own, so nothing of it outlives its draw here
+    return (_draw_batch(t, pooled, class_rows, spec, c, eye, rng) for t, c in enumerate(counts))
 
 
 def _draw_batch(

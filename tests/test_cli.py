@@ -204,17 +204,31 @@ class TestValidate:
         assert "pool.capacity" in capsys.readouterr().err
 
 
-    def test_a_switch_stream_that_never_switches_exits_2_and_nothing_runs(self, config_path, tmp_path, capsys):
-        # 8 batches: a flip at batch 50 would pass unseen
+    @staticmethod
+    def assert_never_switching_exits_2_and_nothing_runs(config_path, tmp_path, capsys, lines, flip):
         with open(config_path, "a") as f:
-            f.write("stream.mode = switch\nstream.switch_at = 50\n")
-        message = f"{config_path}: stream.switch_at must be below stream.batches in switch mode\n"
+            f.write(f"stream.mode = switch\n{lines}\n")
+        message = f"{config_path}: stream.switch_at must be in [1, stream.batches) in switch mode, got a flip at {flip}\n"
         assert main(["validate", "--config", config_path]) == 2
         assert capsys.readouterr().err == message
         out = tmp_path / "o.csv"
         assert main(["run", "--config", config_path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == message
         assert not out.exists()
+
+    def test_a_switch_stream_that_never_switches_exits_2_and_nothing_runs(self, config_path, tmp_path, capsys):
+        # 8 batches: a flip at batch 50 would pass unseen
+        self.assert_never_switching_exits_2_and_nothing_runs(config_path, tmp_path, capsys, "stream.switch_at = 50", 50)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "stream.switch_at = 0",  # every batch would have the post-switch ratios
+            "stream.batches = 1",  # the default flip of a 1-batch stream is batch 0
+        ],
+    )
+    def test_a_switch_stream_that_flips_at_batch_0_exits_2_and_nothing_runs(self, config_path, tmp_path, capsys, lines):
+        self.assert_never_switching_exits_2_and_nothing_runs(config_path, tmp_path, capsys, lines, 0)
 
     @pytest.mark.parametrize(
         "line, message",

@@ -1,5 +1,6 @@
 import math
 import pickle
+import types
 from collections import deque
 
 import numpy as np
@@ -234,13 +235,6 @@ def state_at(cls_value, ratio=1.0):
 
 
 class TestSelectAction:
-    def test_warmup_always_pool(self):
-        q = QModel()
-        cfg = cfg_with(warmup_batches=30, greedy_after=60)
-        rng = np.random.default_rng(0)
-        for n in range(30):
-            assert select_action(q.predictions(state_at(0.5)), n, cfg, rng) is ActionKind.POOL
-
     def test_round_robin_rotation(self):
         q = QModel()
         cfg = cfg_with(warmup_batches=30, greedy_after=60)
@@ -278,7 +272,7 @@ class TestRetuneSchedule:
 
         def fit(X, y, sigma_f, length_scale, noise_var):
             calls["fit"].append((len(X), sigma_f, length_scale))
-            return object()
+            return types.SimpleNamespace(sigma_f=sigma_f, length_scale=length_scale)
 
         monkeypatch.setattr(controller.gp, "optimize_hyperparams", search)
         monkeypatch.setattr(controller.gp, "fit", fit)
@@ -304,15 +298,21 @@ class TestRetuneSchedule:
         assert gp_calls["search"] == [2, 3, 4, 4, 4]
         assert [n for n, _, _ in gp_calls["fit"]] == [1, 2, 3] + [4] * 12
 
+    @staticmethod
+    def hyperparams(q, action):
+        curve = q.curves[action]
+        return curve.sigma_f, curve.length_scale
+
     def test_skipped_refit_fits_with_kept_hyperparams(self, gp_calls):
         q = QModel(max_observations=4)
         self.searched_refits(q, ActionKind.MERGE, 4, gp_calls)
-        kept = q.hyperparams[ActionKind.MERGE]
+        # each search started from the last curve's setting: 1 -> 2 -> 3 -> 4
+        kept = self.hyperparams(q, ActionKind.MERGE)
         assert kept == (4.0, 0.5)
         for i in range(4):
             q.record(ActionKind.MERGE, state_at(0.05 * i), 0.0)
             q.refit()
-            assert q.hyperparams[ActionKind.MERGE] == kept
+            assert self.hyperparams(q, ActionKind.MERGE) == kept
             assert gp_calls["fit"][-1] == (4, *kept)
         assert len(gp_calls["search"]) == 3
 
@@ -385,6 +385,18 @@ class TestRunningHistory:
 
 
 class TestControlStep:
+    def test_warmup_always_pool(self):
+        # decide holds the warm-up rule: select_action is not asked before it ends
+        cfg = cfg_with(warmup_batches=30, greedy_after=60)
+        ctrl = RlController(cfg, initial_width=10, rng=np.random.default_rng(0))
+        for n in range(30):
+            ctrl.observe(0.5, 0.5 - 0.01 * n, 10, 0.0)
+            decision = ctrl.decide(n)
+            assert (decision.kind, decision.delta, decision.state, decision.q_values) == (ActionKind.POOL, 0, None, None)
+        assert all(len(ctrl.q.observations[a]) == 0 for a in ACTIONS)
+        ctrl.observe(0.5, 0.2, 10, 0.0)
+        assert ctrl.decide(30).kind is ActionKind.INCREMENT
+
     def test_warmup_decision(self):
         ctrl = RlController(cfg_with(), initial_width=10, rng=np.random.default_rng(0))
         decision = ctrl.decide(0)

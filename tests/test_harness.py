@@ -34,6 +34,7 @@ from adaptdae.controller import ControllerConfig
 from adaptdae.harness import (
     NumericalBreakdown,
     TraceRecord,
+    check_trace_path,
     eval_global,
     prepare_data,
     read_trace,
@@ -351,6 +352,40 @@ class TestRunExperiment:
         cfg.policy = "nonsense"
         with pytest.raises(ValueError):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_an_unwritable_trace_raises_before_set_up(self, monkeypatch, tmp_path, via_config):
+        built = []
+        monkeypatch.setattr(harness, "init_network", lambda *args, **kwargs: built.append(args))
+        cfg = with_pool(tiny_config())
+        out = str(tmp_path / "no" / "such" / "t.csv")
+        cfg.out = out if via_config else ""
+        with pytest.raises(FileNotFoundError, match=re.escape(out)):
+            run_experiment(cfg, out_path=None if via_config else out)
+        assert built == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_trace_check_leaves_an_existing_file_as_it_was_and_creates_none(self, monkeypatch, tmp_path):
+        class SetUpStopped(Exception):
+            pass
+
+        def stop(cfg):
+            raise SetUpStopped
+
+        # a run stopped in set-up, after the check, writes no trace
+        monkeypatch.setattr(harness, "_open_stream", stop)
+        existing = tmp_path / "t.csv"
+        existing.write_bytes(b"batch,action\r\n0,pool\n\xff")
+        stamp = existing.stat().st_mtime_ns
+        check_trace_path(str(existing))
+        with pytest.raises(SetUpStopped):
+            run_experiment(with_pool(tiny_config()), out_path=str(existing))
+        assert existing.read_bytes() == b"batch,action\r\n0,pool\n\xff"
+        assert existing.stat().st_mtime_ns == stamp
+        check_trace_path(str(tmp_path / "new.csv"))
+        with pytest.raises(SetUpStopped):
+            run_experiment(with_pool(tiny_config()), out_path=str(tmp_path / "new.csv"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
 def comparable(records):

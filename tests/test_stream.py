@@ -14,6 +14,7 @@ from adaptdae.stream import (
     LabeledSource,
     StreamSpec,
     _ratio_schedule,
+    _switch_ratios,
     build_stream,
     class_ratios,
     gp_sample_curves,
@@ -184,15 +185,50 @@ class TestBuildStream:
         assert early[0] == pytest.approx(0.9, abs=1e-12)
         assert late[1] + late[2] == pytest.approx(0.9, abs=1e-12)
 
-    @pytest.mark.parametrize("switch_at", [10, 50])
+    @pytest.mark.parametrize("switch_at", [0, 10, 50])
     def test_a_switch_stream_that_never_switches_is_rejected(self, switch_at):
         spec = StreamSpec(classes=3, dims=6, batches=10, mode="switch", switch_at=switch_at)
-        with pytest.raises(ValueError, match=r"^stream.switch_at must be below stream.batches in switch mode$"):
+        message = rf"^stream.switch_at must be in \[1, stream.batches\) in switch mode, got a flip at {switch_at}$"
+        with pytest.raises(ValueError, match=message):
             spec.validate()
-        # the last batch can still flip, and the other modes never read switch_at
+        # batch 1 and the last batch can still flip, and the other modes
+        # never read switch_at
+        replace(spec, switch_at=1).validate()
         replace(spec, switch_at=9).validate()
         replace(spec, mode="nonstationary").validate()
         replace(spec, mode="stationary").validate()
+
+    def test_a_one_batch_switch_stream_is_rejected_by_its_default_flip(self):
+        spec = StreamSpec(classes=3, dims=6, batches=1, mode="switch")
+        with pytest.raises(ValueError, match=r"got a flip at 0$"):
+            spec.validate()
+        replace(spec, batches=2).validate()  # the default flips at batch 1 of 2
+        replace(spec, mode="stationary").validate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_switch_spec_validates_iff_its_schedule_switches(self, data):
+        batches = data.draw(st.integers(1, 12))
+        spec = StreamSpec(
+            classes=data.draw(st.integers(2, 5)),
+            dims=2,
+            batches=batches,
+            mode="switch",
+            switch_at=data.draw(st.none() | st.integers(0, batches + 1)),
+            skew=data.draw(st.sampled_from([0.2, 0.6, 0.9])),  # at 0.5 the two rows are equal
+        )
+        try:
+            spec.validate()
+            valid = True
+        except ValueError:
+            valid = False
+        assert valid == has_both_rows(spec)
+        if valid:
+            # every row before the flip is the pre-switch row, every other one the post-switch row
+            pre, post = _switch_ratios(spec.classes, spec.skew)
+            schedule = _ratio_schedule(spec, np.random.default_rng(0))
+            flip = int(np.flatnonzero((schedule == post).all(axis=1))[0])
+            assert schedule.tobytes() == np.vstack([pre] * flip + [post] * (batches - flip)).tobytes()
 
     @pytest.mark.parametrize("bad", [2.0, np.nan, -0.5])
     def test_a_store_value_outside_the_unit_interval_is_rejected(self, bad):
@@ -274,14 +310,23 @@ def stream_cases(draw):
     return source, spec
 
 
+def has_both_rows(spec):
+    """Whether the switch stream ``spec``'s ratio schedule holds both the
+    pre-switch and the post-switch row."""
+    pre, post = _switch_ratios(spec.classes, spec.skew)
+    rows = _ratio_schedule(spec, np.random.default_rng(0))
+    return all((rows == row).all(axis=1).any() for row in (pre, post))
+
+
 def never_switches(spec):
-    """Whether ``spec`` is a switch stream that flips at or past its last batch."""
-    return spec.mode == "switch" and spec.switch_at is not None and spec.switch_at >= spec.batches
+    """Whether ``spec`` is a switch stream whose schedule lacks the pre- or
+    the post-switch row, told apart at a skew where the two differ."""
+    return spec.mode == "switch" and not has_both_rows(replace(spec, skew=0.9))
 
 
 def assert_rejected_as_never_switching(source, spec):
     for draw in (iter_stream, build_stream, reference_build_stream):
-        with pytest.raises(ValueError, match="stream.switch_at must be below stream.batches"):
+        with pytest.raises(ValueError, match=r"stream.switch_at must be in \[1, stream.batches\) in switch mode"):
             draw(source, spec, np.random.default_rng(spec.seed))
 
 

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -42,6 +43,15 @@ def test_the_committed_baseline_holds_every_config_once():
     assert list(digests) == list(configs)
     assert set(header) == set(tool.versions())
     assert len(set(digests.values())) == len(digests)
+
+
+def test_ci_installs_the_versions_the_baseline_names():
+    # so that --check in CI compares digests made by the same Python, numpy and scipy
+    header, _ = load_tool().read_baseline(TOOLS / "trace_digests.txt")
+    workflow = (TOOLS.parent / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    assert re.findall(r"python-version: \"([^\"]+)\"", workflow) == [header["python"]]
+    assert re.findall(r"\b(numpy|scipy)==(\S+)", workflow) == [("numpy", header["numpy"]), ("scipy", header["scipy"])]
+    assert "tools/trace_digests.py --check tools/trace_digests.txt" in workflow
 
 
 def test_configs_with_equal_digests_are_named_and_fail(capsys):
